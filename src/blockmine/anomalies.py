@@ -108,23 +108,6 @@ def _deviation_counts(
     return counts
 
 
-def confidence(violation: Violation, all_violations: Sequence[Violation]) -> Fraction:
-    """Exact confidence s / (s + v) of one violation.
-
-    s is the pattern's support; v counts the scripts (including this one)
-    whose deviation from the same pattern is set-equal to this deviation.
-    """
-    v = sum(
-        1
-        for other in all_violations
-        if other.pattern == violation.pattern and other.deviation == violation.deviation
-    )
-    if v == 0:
-        raise ValueError("violation does not occur in all_violations")
-    s = violation.pattern.support
-    return Fraction(s, s + v)
-
-
 def _anomaly_order(anomaly: Anomaly) -> tuple:
     return (
         -anomaly.confidence,
@@ -191,7 +174,7 @@ def parameter_sweep(
         raise InvalidConfig("sweep needs at least one support and one confidence value")
     supports = list(support_values)
     for s in supports:
-        if not isinstance(s, int) or s < 1:
+        if isinstance(s, bool) or not isinstance(s, int) or s < 1:
             raise InvalidConfig(f"support values must be positive integers, got {s!r}")
     confidences = [_as_fraction(c) for c in confidence_values]
     for c in confidences:

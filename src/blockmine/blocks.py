@@ -32,21 +32,6 @@ class BlockKind(Enum):
     UNKNOWN = "unknown"
 
 
-# Kinds that open one or two substacks.
-CONTROL_KINDS = frozenset(
-    {
-        BlockKind.IF_THEN,
-        BlockKind.IF_ELSE,
-        BlockKind.FOREVER,
-        BlockKind.LOOP_BOUNDED,
-        BlockKind.LOOP_UNTIL,
-    }
-)
-
-# Kinds that occupy a command slot in a stack (everything except reporters;
-# unknown opcodes in a next-chain are treated as commands).
-STACK_KINDS = frozenset(set(BlockKind) - {BlockKind.REPORTER})
-
 # Opcodes whose label carries a procedure prototype name.
 PROCEDURE_OPCODES = frozenset({"procedures_call", "procedures_definition"})
 
@@ -116,8 +101,3 @@ class BlockLabel:
     def key(self) -> str:
         """Stable serialization key: opcode, plus detail when present."""
         return f"{self.opcode}:{self.detail}" if self.detail else self.opcode
-
-    @classmethod
-    def from_key(cls, key: str) -> "BlockLabel":
-        opcode, _, detail = key.partition(":")
-        return cls(opcode, detail)

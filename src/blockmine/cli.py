@@ -102,7 +102,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker threads for model extraction (default 1)")
+                        help="accepted for compatibility; extraction is serial")
 
 
 def _resolve_config(args: argparse.Namespace) -> MiningConfig:
@@ -136,11 +136,11 @@ def _parse_confidence(raw: str | None) -> Fraction | None:
         raise InvalidConfig(f"not a confidence value: {raw!r}") from exc
 
 
-def _resolve_jobs(args: argparse.Namespace) -> int:
+def _check_jobs(args: argparse.Namespace) -> None:
+    """Validate --jobs / BLOCKMINE_JOBS; the value has no other effect."""
     jobs = _pick(getattr(args, "jobs", None), "JOBS", 1, int)
     if jobs < 1:
         raise InvalidConfig(f"--jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 def _resolve_opt(args: argparse.Namespace, attr: str, env: str, default):
@@ -175,7 +175,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def cmd_stats(args: argparse.Namespace) -> int:
     projects = load_dataset(args.dataset)
     config = _resolve_config(args)
-    result = analyze_dataset(projects, config, jobs=_resolve_jobs(args))
+    _check_jobs(args)
+    result = analyze_dataset(projects, config)
     fmt = _resolve_opt(args, "format", "FORMAT", "text")
     if fmt == "json":
         _emit(args, document_to_json(stats_to_document(result.stats)))
@@ -188,7 +189,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_extract_models(args: argparse.Namespace) -> int:
     projects = load_dataset(args.dataset)
-    models: list[ScriptModel] = extract_models(projects, jobs=_resolve_jobs(args))
+    _check_jobs(args)
+    models: list[ScriptModel] = extract_models(projects)
     fmt = _resolve_opt(args, "format", "FORMAT", "dot")
     if fmt not in ("dot", "structured-text"):
         raise InvalidConfig(f"extract-models cannot render format {fmt!r}")
@@ -204,7 +206,8 @@ def cmd_extract_models(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     projects = load_dataset(args.dataset)
     config = _resolve_config(args)
-    result = analyze_dataset(projects, config, jobs=_resolve_jobs(args))
+    _check_jobs(args)
+    result = analyze_dataset(projects, config)
     report = AnomalyReport(dataset=str(args.dataset), config=config, result=result)
     top = _pick(args.top, "TOP", 10, int)
     fmt = _resolve_opt(args, "format", "FORMAT", "text")
@@ -262,7 +265,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_deviation_level=_pick(args.max_deviation, "MAX_DEVIATION", 10000, int),
         min_confidence=min(confidences),
     )
-    property_sets = extract_property_sets(projects, jobs=_resolve_jobs(args))
+    _check_jobs(args)
+    property_sets = extract_property_sets(projects)
     cells = parameter_sweep(property_sets, supports, confidences, fixed)
     fmt = _resolve_opt(args, "format", "FORMAT", "csv")
     if fmt == "csv":

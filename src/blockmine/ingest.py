@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import logging
+import math
 import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -174,6 +175,21 @@ def _parse_inputs(raw_inputs: object) -> tuple[tuple[str | None, ...], tuple[str
     return substacks, tuple(children)
 
 
+def _coordinate(raw: dict, axis: str, owner: str, block_id: object, warnings: list[str]) -> float:
+    """A canvas coordinate; anything but a finite number reads as 0 with a warning."""
+    value = raw.get(axis, 0) or 0
+    try:
+        coord = float(value)
+    except (TypeError, ValueError, OverflowError):
+        coord = math.nan
+    if math.isfinite(coord):
+        return coord
+    warnings.append(
+        f"{owner}: block {block_id!r} {axis} coordinate {value!r} is not a number, read as 0"
+    )
+    return 0.0
+
+
 def _parse_target(target: dict, warnings: list[str]) -> Actor:
     name = str(target.get("name", ""))
     is_stage = bool(target.get("isStage", False))
@@ -204,8 +220,8 @@ def _parse_target(target: dict, warnings: list[str]) -> Actor:
                 is_top_level=bool(raw.get("topLevel", False)),
                 is_shadow=bool(raw.get("shadow", False)),
                 proccode=proccode,
-                x=float(raw.get("x", 0) or 0),
-                y=float(raw.get("y", 0) or 0),
+                x=_coordinate(raw, "x", name, block_id, warnings),
+                y=_coordinate(raw, "y", name, block_id, warnings),
             )
 
     # Resolve cross-references: a dangling pointer is cleared, not fatal.

@@ -39,16 +39,11 @@ class MiningConfig:
     min_confidence: Fraction = Fraction(9, 10)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.min_support, int) or self.min_support < 1:
-            raise InvalidConfig(f"min_support must be a positive integer, got {self.min_support!r}")
-        if not isinstance(self.min_pattern_size, int) or self.min_pattern_size < 1:
-            raise InvalidConfig(
-                f"min_pattern_size must be a positive integer, got {self.min_pattern_size!r}"
-            )
-        if not isinstance(self.max_deviation_level, int) or self.max_deviation_level < 1:
-            raise InvalidConfig(
-                f"max_deviation_level must be a positive integer, got {self.max_deviation_level!r}"
-            )
+        for name in ("min_support", "min_pattern_size", "max_deviation_level"):
+            value = getattr(self, name)
+            # bool is a subclass of int, but True is not a count.
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
         try:
             confidence = _as_fraction(self.min_confidence)
         except (ValueError, ZeroDivisionError, TypeError) as exc:

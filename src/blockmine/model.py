@@ -6,8 +6,8 @@ block's label. Branching blocks contribute one transition per possible
 successor, loops point back to their head, and reporter blocks never
 appear at all. Unlabeled (epsilon) transitions are permitted as an
 intermediate device - eliminate_epsilon removes them - but the builder
-wires join points directly, so freshly built models are already
-epsilon-free.
+wires join points directly and models only reachable code, so
+eliminate_epsilon is the identity on freshly built models.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ class ScriptModel:
         return frozenset(locs)
 
     @property
-    def labels(self) -> frozenset[BlockLabel]:
-        return frozenset(l for _, l, _ in self.transitions if l is not None)
-
-    @property
     def is_epsilon_free(self) -> bool:
         return all(l is not None for _, l, _ in self.transitions)
 
@@ -76,6 +72,10 @@ class _Continuation:
         cont = _Continuation(lambda: location)
         cont._value = location
         return cont
+
+    @property
+    def materialized(self) -> bool:
+        return self._value is not None
 
     def get(self) -> int:
         if self._value is None:
@@ -98,9 +98,10 @@ def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel
     same continuation; loops fork into body and fall-through, the body
     rejoining the location before the loop (a forever rejoins its own head
     and has no fall-through, so anything stacked after it is unreachable
-    and not modeled). Reporters are never emitted. The final location of
-    the stack joins the exits; caps mark their target as an exit and end
-    the stack.
+    and not modeled; the same holds after an if-else whose branches both
+    end in a cap or forever). Reporters are never emitted. The final
+    location of the stack joins the exits; caps mark their target as an
+    exit and end the stack.
     """
     actor = project.actor(script.actor_name)
     counter = [0]
@@ -169,6 +170,8 @@ def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel
                     walk(body, body_entry, _Continuation.fixed(cur))
                 else:
                     transitions.add((cur, label, cur))
+            if not nxt.materialized:
+                return  # every branch ended in a cap or forever
             cur = nxt.get()
 
     chain = command_chain(script.root_block)

@@ -30,9 +30,6 @@ class TemporalProperty:
     def __str__(self) -> str:
         return self.display
 
-    def mentions(self, label: BlockLabel) -> bool:
-        return self.first == label or self.second == label
-
 
 @dataclass(frozen=True)
 class PropertySet:
@@ -48,31 +45,12 @@ class PropertySet:
         return prop in self.properties
 
 
-class ReachabilityRelation:
-    """Reflexive transitive closure of a model's location graph.
+def reachability(model: ScriptModel) -> dict[int, frozenset[int]]:
+    """Map each location to the locations it can reach, itself included.
 
     Labels are ignored, so epsilon transitions count as steps; on an
     epsilon-free model this is plain control-flow reachability.
     """
-
-    def __init__(self, reach: dict[int, frozenset[int]]):
-        self._reach = reach
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        src, dst = pair
-        return dst in self._reach.get(src, frozenset())
-
-    def reaches(self, location: int) -> frozenset[int]:
-        return self._reach.get(location, frozenset())
-
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (src, dst) for src, dsts in self._reach.items() for dst in dsts
-        )
-
-
-def reachability(model: ScriptModel) -> ReachabilityRelation:
-    """Compute which locations can reach which, including each reaching itself."""
     adjacency: dict[int, set[int]] = {}
     for src, _, dst in model.transitions:
         adjacency.setdefault(src, set()).add(dst)
@@ -87,7 +65,7 @@ def reachability(model: ScriptModel) -> ReachabilityRelation:
                     seen.add(nxt)
                     frontier.append(nxt)
         reach[loc] = frozenset(seen)
-    return ReachabilityRelation(reach)
+    return reach
 
 
 def props(model: ScriptModel) -> PropertySet:
@@ -107,7 +85,7 @@ def props(model: ScriptModel) -> PropertySet:
 
     found: set[TemporalProperty] = set()
     for _, first, landing in labeled:
-        for reachable in reach.reaches(landing):
+        for reachable in reach[landing]:
             for second in by_source.get(reachable, ()):
                 found.add(TemporalProperty(first, second))
     return PropertySet(source=model.source, properties=frozenset(found))

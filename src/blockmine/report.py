@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -22,13 +21,7 @@ from .anomalies import Anomaly, SweepCell, Violation, find_violations, rank_anom
 from .blocks import table_version
 from .ingest import RawProject, ScriptSource, enumerate_scripts
 from .mining import MiningConfig, Pattern, mine_closed_patterns
-from .model import (
-    ScriptModel,
-    build_script_model,
-    eliminate_epsilon,
-    model_to_document,
-    model_to_dot,
-)
+from .model import ScriptModel, build_script_model, model_to_document, model_to_dot
 from .properties import (
     PropertySet,
     properties_to_dot,
@@ -38,30 +31,22 @@ from .properties import (
 )
 
 
-def extract_models(projects: Sequence[RawProject], jobs: int = 1) -> list[ScriptModel]:
-    """One finalized (epsilon-free) model per script, in dataset order.
+def extract_models(projects: Sequence[RawProject]) -> list[ScriptModel]:
+    """One model per script, in dataset order.
 
-    jobs > 1 maps script builds over a thread pool; results keep submission
-    order, so parallelism never changes the output.
+    The builder wires join points directly, so its models are already
+    epsilon-free and need no elimination pass. Extraction runs serially:
+    the work is pure Python and holds the interpreter lock.
     """
-    work = [
-        (script, project)
+    return [
+        build_script_model(script, project)
         for project in projects
         for script in enumerate_scripts(project)
     ]
 
-    def build(item: tuple[ScriptSource, RawProject]) -> ScriptModel:
-        script, project = item
-        return eliminate_epsilon(build_script_model(script, project))
 
-    if jobs > 1 and len(work) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(build, work))
-    return [build(item) for item in work]
-
-
-def extract_property_sets(projects: Sequence[RawProject], jobs: int = 1) -> list[PropertySet]:
-    return [props(m) for m in extract_models(projects, jobs=jobs)]
+def extract_property_sets(projects: Sequence[RawProject]) -> list[PropertySet]:
+    return [props(m) for m in extract_models(projects)]
 
 
 @dataclass(frozen=True)
@@ -111,11 +96,9 @@ def compute_stats(
     )
 
 
-def analyze_dataset(
-    projects: Sequence[RawProject], config: MiningConfig, jobs: int = 1
-) -> AnalysisResult:
+def analyze_dataset(projects: Sequence[RawProject], config: MiningConfig) -> AnalysisResult:
     """Run the whole pipeline on loaded projects."""
-    property_sets = extract_property_sets(projects, jobs=jobs)
+    property_sets = extract_property_sets(projects)
     patterns = mine_closed_patterns(property_sets, config.min_support)
     violations = find_violations(patterns, property_sets, config)
     anomalies = rank_anomalies(violations, config)

@@ -8,9 +8,11 @@ to audit, which is the point.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
-from blockmine import BlockLabel, ScriptModel, ScriptSource, TemporalProperty
+from blockmine import BlockLabel, ScriptModel, ScriptSource, TemporalProperty, Violation
 
 
 def brute_force_closed(
@@ -35,6 +37,23 @@ def brute_force_closed(
         if supp >= min_support:
             result.add((itemset, supp))
     return result
+
+
+def confidence(violation: Violation, all_violations: Sequence[Violation]) -> Fraction:
+    """Exact confidence s / (s + v) of one violation, by a linear scan.
+
+    s is the pattern's support; v counts the scripts (including this one)
+    whose deviation from the same pattern is set-equal to this deviation.
+    """
+    v = sum(
+        1
+        for other in all_violations
+        if other.pattern == violation.pattern and other.deviation == violation.deviation
+    )
+    if v == 0:
+        raise ValueError("violation does not occur in all_violations")
+    s = violation.pattern.support
+    return Fraction(s, s + v)
 
 
 def random_mining_instance(

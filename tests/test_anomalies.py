@@ -15,7 +15,6 @@ from blockmine import (
     detect_anomalies,
     extract_property_sets,
     find_violations,
-    confidence,
     mine_closed_patterns,
     parameter_sweep,
     rank_anomalies,
@@ -30,7 +29,7 @@ from conftest import (
     MOVE,
     prop,
 )
-from oracles import dummy_sources
+from oracles import confidence, dummy_sources
 
 RELAXED = MiningConfig(min_support=1, min_confidence="1/100")
 
@@ -124,6 +123,12 @@ def test_confidence_counts_scripts_with_identical_deviation():
     assert len(same_pattern) == 3
     for v in same_pattern:
         assert confidence(v, violations) == Fraction(20, 23)
+    # rank_anomalies counts deviation classes in one pass; the linear-scan
+    # oracle must agree on every violation
+    ranked = rank_anomalies(violations, RELAXED)
+    assert sorted((a.script, a.confidence) for a in ranked) == sorted(
+        (v.script, confidence(v, violations)) for v in violations
+    )
 
 
 def test_rank_anomalies_filters_by_confidence():
@@ -233,6 +238,8 @@ def test_sweep_rejects_bad_grids():
         parameter_sweep(sets, [1], [])
     with pytest.raises(InvalidConfig):
         parameter_sweep(sets, [0], ["0.5"])
+    with pytest.raises(InvalidConfig):
+        parameter_sweep(sets, [True], ["0.5"])
     with pytest.raises(InvalidConfig):
         parameter_sweep(sets, [1], ["2.0"])
 

@@ -13,13 +13,16 @@ from blockmine import (
     MalformedProject,
     build_project,
     enumerate_scripts,
+    extract_property_sets,
     load_dataset,
     load_project,
     project_payload,
+    project_to_document,
     scan_dataset,
     write_project_archive,
 )
-from conftest import FIG_SCRIPT
+from blockmine.cli import main
+from conftest import FIG_PROPS, FIG_SCRIPT, write_classroom
 
 
 def _write_json_project(path, doc):
@@ -287,3 +290,27 @@ def test_duplicate_project_stems_disambiguated(tmp_path):
     (tmp_path / "same.json").write_bytes(project_payload(project))
     projects = load_dataset(tmp_path)
     assert sorted(p.project_id for p in projects) == ["same", "same#2"]
+
+
+def test_non_numeric_coordinate_reads_as_zero_and_spares_the_classroom(tmp_path, capsys):
+    clean = write_classroom(tmp_path / "clean", n_correct=3, n_buggy=1)
+    with_bad = write_classroom(tmp_path / "with_bad", n_correct=3, n_buggy=1)
+    doc = project_to_document(build_project("odd", [("Cat", [FIG_SCRIPT])]))
+    top = next(b for b in doc["targets"][1]["blocks"].values() if b["topLevel"])
+    top["x"] = "left"
+    top["y"] = [1, 2]
+    with zipfile.ZipFile(with_bad / "odd.sb3", "w") as zf:
+        zf.writestr("project.json", json.dumps(doc))
+
+    odd = load_project(with_bad / "odd.sb3")
+    cat = odd.actor("Cat")
+    root = cat.blocks[cat.script_roots[0]]
+    assert (root.x, root.y) == (0.0, 0.0)
+    assert sum("coordinate" in w for w in odd.warnings) == 2
+
+    assert main(["mine", str(with_bad), "--min-support", "2", "--format", "json"]) == 0
+    capsys.readouterr()
+    before = {ps.source: ps.properties for ps in extract_property_sets(load_dataset(clean))}
+    after = {ps.source: ps.properties for ps in extract_property_sets(load_dataset(with_bad))}
+    assert {s: p for s, p in after.items() if s.project_id != "odd"} == before
+    assert [p for s, p in after.items() if s.project_id == "odd"] == [FIG_PROPS]

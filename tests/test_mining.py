@@ -213,6 +213,13 @@ def test_config_validation():
         MiningConfig(min_confidence="nonsense")
 
 
+@pytest.mark.parametrize("field", ["min_support", "min_pattern_size", "max_deviation_level"])
+def test_config_rejects_booleans_as_counts(field):
+    # bool is a subclass of int; True must not pass as the count 1
+    with pytest.raises(InvalidConfig, match=field):
+        MiningConfig(**{field: True})
+
+
 def test_doubling_every_transaction_doubles_every_support():
     rng = random.Random(2468)
     for _ in range(10):

@@ -5,15 +5,21 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmine import (
     BlockLabel,
+    MutationKind,
+    MutationSpec,
     ScriptModel,
     abstract_labels,
     build_project,
     build_script_model,
     eliminate_epsilon,
     enumerate_scripts,
+    generate_corpus,
+    load_dataset,
     model_to_dot,
     props,
 )
@@ -202,6 +208,72 @@ def test_elimination_is_identity_on_epsilon_free_models():
     assert eliminate_epsilon(model) == model
 
 
+# Extraction skips eliminate_epsilon, which is sound only while elimination
+# is the identity on everything build_script_model returns.
+def _assert_builder_output_is_final(projects) -> int:
+    checked = 0
+    for project in projects:
+        for script in enumerate_scripts(project):
+            model = build_script_model(script, project)
+            eliminated = eliminate_epsilon(model)
+            assert eliminated == model, script.ident
+            assert props(eliminated) == props(model), script.ident
+            checked += 1
+    return checked
+
+
+def test_elimination_is_identity_on_the_classroom(classroom_dir):
+    assert _assert_builder_output_is_final(load_dataset(classroom_dir)) == 31
+
+
+def test_elimination_is_identity_on_every_mutation_kind(tmp_path):
+    reference = build_project("reference", [("Cat", [[
+        "event_whenflagclicked",
+        ("control_repeat", ["motion_movesteps", "motion_turnright"]),
+        ("control_if_else", ["looks_say", "control_stop"], ["motion_gotoxy"]),
+        ("control_forever", [("control_if", ["motion_turnright"]), "looks_say"]),
+    ]])])
+    mutations = [
+        # both if-else branches now end in a cap: the forever below is dead
+        MutationSpec(MutationKind.WRONG_BLOCK, "motion_gotoxy", "control_stop"),
+        MutationSpec(MutationKind.WRONG_BLOCK, "motion_movesteps", "looks_think", seed=1),
+        MutationSpec(MutationKind.MISSING_BLOCK, "control_repeat"),
+        MutationSpec(MutationKind.MISSING_BLOCK, "looks_say", seed=2),
+        MutationSpec(MutationKind.WRONG_ORDER, "control_repeat"),
+        MutationSpec(MutationKind.EXTRA_BLOCK, "motion_turnright", "control_stop", seed=3),
+    ]
+    assert {m.kind for m in mutations} == set(MutationKind)
+    generate_corpus(reference, 2, mutations, tmp_path)
+    assert _assert_builder_output_is_final(load_dataset(tmp_path)) == 8
+
+
+_SIMPLE_BLOCKS = st.sampled_from(
+    ["motion_movesteps", "motion_turnright", "looks_say", "control_stop", "ext_notInTheTable"]
+)
+
+
+def _chains(children):
+    block = st.one_of(
+        _SIMPLE_BLOCKS,
+        st.tuples(st.sampled_from(["control_if", "control_repeat", "control_forever"]), children),
+        st.tuples(st.just("control_if_else"), children, children),
+    )
+    return st.lists(block, max_size=4)
+
+
+_SCRIPTS = st.builds(
+    lambda hat, body: (["event_whenflagclicked"] if hat else []) + body,
+    st.booleans(),
+    st.recursive(st.lists(_SIMPLE_BLOCKS, max_size=3), _chains, max_leaves=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SCRIPTS, min_size=1, max_size=3))
+def test_elimination_is_identity_on_random_built_scripts(scripts):
+    _assert_builder_output_is_final([build_project("random", [("Cat", scripts)])])
+
+
 def test_elimination_is_idempotent_on_random_models():
     rng = random.Random(4242)
     for _ in range(25):
@@ -265,6 +337,24 @@ def test_unreachable_code_after_forever_is_not_modeled():
     ])
     opcodes = {t[1].opcode for t in model.transitions}
     assert "motion_turnright" not in opcodes
+
+
+def test_unreachable_code_after_a_fully_capped_if_else_is_not_modeled():
+    model = _model_for([
+        "event_whenflagclicked",
+        ("control_if_else", ["control_stop"], ["control_stop"]),
+        "motion_movesteps",
+        "motion_turnright",
+    ])
+    assert model.transitions == frozenset({
+        (0, WGF, 1),
+        (1, IF_ELSE, 2),
+        (1, IF_ELSE, 3),
+        (2, STOP, 4),
+        (3, STOP, 5),
+    })
+    assert model.exits == frozenset({4, 5})
+    assert model.locations == frozenset(range(6))
 
 
 def test_three_epsilon_edges_collapse_to_a_single_transition():

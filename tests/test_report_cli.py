@@ -48,11 +48,6 @@ def test_extract_models_keeps_dataset_order(classroom_result):
     assert all(m.is_epsilon_free for m in models)
 
 
-def test_parallel_extraction_gives_identical_models(classroom_result):
-    _, projects, _ = classroom_result
-    assert extract_models(projects, jobs=2) == extract_models(projects, jobs=1)
-
-
 def test_stats_numbers(classroom_result):
     _, _, result = classroom_result
     stats = result.stats
@@ -320,6 +315,14 @@ def test_cli_bad_env_value_is_a_config_error(cli_classroom, capsys, monkeypatch)
     monkeypatch.setenv("BLOCKMINE_MIN_SUPPORT", "lots")
     assert main(["mine", str(cli_classroom)]) == 1
     assert "BLOCKMINE_MIN_SUPPORT" in capsys.readouterr().err
+
+
+def test_cli_jobs_is_still_validated(cli_classroom, tmp_path, capsys, monkeypatch):
+    for command in (["stats"], ["mine"], ["sweep"], ["extract-models", "--out", str(tmp_path)]):
+        assert main([command[0], str(cli_classroom), *command[1:], "--jobs", "0"]) == 1
+    monkeypatch.setenv("BLOCKMINE_JOBS", "0")
+    assert main(["mine", str(cli_classroom)]) == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_gen_corpus_and_mine_round_trip(tmp_path, capsys):
