@@ -269,12 +269,31 @@ def _canonical_root_order(blocks: Iterable[RawBlock]) -> list[RawBlock]:
     return sorted(blocks, key=lambda b: (b.y, b.x, b.id))
 
 
+def _repeated_block(actor: Actor, root_id: str) -> str | None:
+    """The first block the stack at root_id reaches twice, through next or
+    a substack, or None. In a well-formed stack every block has one parent;
+    a repeat is a reference cycle, and a model of it would never end."""
+    seen: set[str] = set()
+    pending: list[str | None] = [root_id]
+    while pending:
+        block_id = pending.pop()
+        while block_id is not None:
+            if block_id in seen:
+                return block_id
+            seen.add(block_id)
+            block = actor.blocks[block_id]  # references were resolved on parse
+            pending.extend(block.substacks)
+            block_id = block.next
+    return None
+
+
 def load_project(path: str | Path) -> RawProject:
     """Parse one solution archive (.sb3 zip or bare project.json).
 
     Raises ArchiveUnreadable for bytes that are neither a zip nor JSON, and
-    MalformedProject when the archive exists but holds no usable project.
-    Schema violations inside a valid project become warning records.
+    MalformedProject when the archive exists but holds no usable project,
+    or when a script reaches one block twice. Other schema violations
+    inside a valid project become warning records.
     """
     p = Path(path)
     try:
@@ -289,7 +308,15 @@ def load_project(path: str | Path) -> RawProject:
         if not isinstance(target, dict):
             warnings.append("dropped non-object target entry")
             continue
-        actors.append(_parse_target(target, warnings))
+        actor = _parse_target(target, warnings)
+        for root_id in actor.script_roots:
+            repeated = _repeated_block(actor, root_id)
+            if repeated is not None:
+                raise MalformedProject(
+                    f"{p.name}: {actor.name}: script {root_id!r} reaches block"
+                    f" {repeated!r} twice"
+                )
+        actors.append(actor)
 
     # Duplicate actor names would break script provenance; disambiguate.
     seen: dict[str, int] = {}

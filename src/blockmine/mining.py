@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import InvalidConfig
 from .ingest import ScriptSource
-from .properties import PropertySet, TemporalProperty
+from .properties import PropertySet, TemporalProperty, Vocabulary, bits
 
 
 def _as_fraction(value: Fraction | float | int | str) -> Fraction:
@@ -94,78 +95,85 @@ def mine_closed_patterns(
 
     The empty pattern is never reported. Deterministic output order:
     support descending, then size descending, then property order.
+    """
+    return mine_vocabulary(Vocabulary.of(property_sets), min_support)
 
-    Uses closure extension over transaction-id bitmasks: a candidate built
-    by adding item i to a closed set is kept only when its closure adds no
-    item ordered before i, which visits every closed frequent itemset
-    exactly once without storing candidates.
+
+def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
+    """`mine_closed_patterns` over property sets already in integer form.
+
+    Closed itemsets are intersections of transactions, so mining runs over
+    the distinct property sets, each weighted by its number of scripts.
+    It uses closure extension over transaction-id bitmasks: a candidate
+    built by adding item i to a closed set is kept only when its closure
+    adds no item ordered before i, which visits every closed frequent
+    itemset exactly once without storing candidates.
     """
     if min_support < 1:
         raise InvalidConfig(f"min_support must be >= 1, got {min_support}")
-    n = len(property_sets)
+    n = len(vocab.scripts)
     if n == 0:
         raise ValueError("property_sets must be nonempty")
-    for ps in property_sets:
-        if ps.source is None:
-            raise ValueError("every PropertySet needs a source to identify supporters")
+    if None in vocab.scripts:
+        raise ValueError("every PropertySet needs a source to identify supporters")
     if min_support > n:
         return []
 
-    items: list[TemporalProperty] = sorted({p for ps in property_sets for p in ps.properties})
-    index = {p: i for i, p in enumerate(items)}
-    m = len(items)
-    item_tids = [0] * m
-    for t, ps in enumerate(property_sets):
-        bit = 1 << t
-        for p in ps.properties:
-            item_tids[index[p]] |= bit
+    masks = vocab.masks
+    weights = [len(g) for g in vocab.groups]
+    item_tids = [0] * len(vocab.items)
+    for t, mask in enumerate(masks):
+        for i in bits(mask):
+            item_tids[i] |= 1 << t
 
-    all_tids = (1 << n) - 1
-    k = min_support
+    # Items often share a tid mask, so extensions repeat: remember both.
+    @cache
+    def weight_of(tidmask: int) -> int:
+        return sum(weights[t] for t in bits(tidmask))
 
-    def closure(tidmask: int) -> frozenset[int]:
-        return frozenset(i for i in range(m) if item_tids[i] & tidmask == tidmask)
+    @cache
+    def closure(tidmask: int) -> int:
+        """Items shared by every transaction in a nonempty tid mask."""
+        intent = -1
+        for t in bits(tidmask):
+            intent &= masks[t]
+        return intent
 
-    found: list[tuple[frozenset[int], int]] = []
+    all_tids = (1 << len(masks)) - 1
     root = closure(all_tids)
-    if root:
-        found.append((root, all_tids))
+    found: list[tuple[int, int, int]] = [(root, all_tids, n)] if root else []
 
     # Depth-first over prefix-preserving closure extensions.
-    stack: list[tuple[frozenset[int], int, int]] = [(root, all_tids, -1)]
+    stack: list[tuple[int, int, int]] = [(root, all_tids, -1)]
     while stack:
         intent, tidmask, core = stack.pop()
-        for i in range(m - 1, core, -1):
-            if i in intent:
-                continue
+        # Only items some transaction in the tid mask carries can extend it.
+        present = 0
+        for t in bits(tidmask):
+            present |= masks[t]
+        candidates = present & ~intent & ~((1 << (core + 1)) - 1)
+        while candidates:
+            i = candidates.bit_length() - 1
+            candidates ^= 1 << i
             extended = item_tids[i] & tidmask
-            if extended.bit_count() < k:
+            weight = weight_of(extended)
+            if weight < min_support:
                 continue
             new_intent = closure(extended)
-            if any(j not in intent for j in new_intent if j < i):
+            if new_intent & ~intent & ((1 << i) - 1):
                 continue  # closure reaches back before i: seen on another branch
-            found.append((new_intent, extended))
+            found.append((new_intent, extended, weight))
             stack.append((new_intent, extended, i))
 
-    def supporters_of(tidmask: int) -> frozenset[ScriptSource]:
-        result = []
-        t = 0
-        while tidmask:
-            if tidmask & 1:
-                source = property_sets[t].source
-                assert source is not None
-                result.append(source)
-            tidmask >>= 1
-            t += 1
-        return frozenset(result)
-
-    patterns = [
+    # Bit order is property order, so this is Pattern.sort_key's order.
+    found.sort(key=lambda f: (-f[2], -f[0].bit_count(), tuple(bits(f[0]))))
+    return [
         Pattern(
-            properties=frozenset(items[i] for i in intent),
-            support=tidmask.bit_count(),
-            supporters=supporters_of(tidmask),
+            properties=vocab.properties(intent),
+            support=weight,
+            supporters=frozenset(
+                vocab.scripts[position] for t in bits(tidmask) for position in vocab.groups[t]
+            ),
         )
-        for intent, tidmask in found
+        for intent, tidmask, weight in found
     ]
-    patterns.sort(key=Pattern.sort_key)
-    return patterns

@@ -9,7 +9,8 @@ a block inside a loop can precede itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .blocks import BlockLabel
 from .ingest import ScriptSource
@@ -43,6 +44,59 @@ class PropertySet:
 
     def __contains__(self, prop: TemporalProperty) -> bool:
         return prop in self.properties
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(frozen=True)
+class Vocabulary:
+    """Property sets in integer form, one entry per distinct set.
+
+    Bit i of a mask stands for `items[i]`, and the items are sorted, so
+    comparing two masks' ascending bit indices compares the sorted
+    properties. Distinct sets keep the order of their first script;
+    `groups[k]` holds the dataset positions of the scripts whose property
+    set is `masks[k]`, ascending, and its length is that set's weight.
+    """
+
+    items: tuple[TemporalProperty, ...]
+    masks: tuple[int, ...]
+    groups: tuple[tuple[int, ...], ...]
+    scripts: tuple[ScriptSource | None, ...]
+
+    @classmethod
+    def of(
+        cls, property_sets: Sequence[PropertySet], extra: Iterable[TemporalProperty] = ()
+    ) -> Vocabulary:
+        """Group `property_sets` by their properties; `extra` properties get
+        bits too, though no set carries them."""
+        by_set: dict[frozenset[TemporalProperty], list[int]] = {}
+        for position, ps in enumerate(property_sets):
+            by_set.setdefault(ps.properties, []).append(position)
+        items = tuple(sorted(set(extra).union(*by_set)))
+        index = {p: i for i, p in enumerate(items)}
+        return cls(
+            items=items,
+            masks=tuple(sum(1 << index[p] for p in s) for s in by_set),
+            groups=tuple(tuple(g) for g in by_set.values()),
+            scripts=tuple(ps.source for ps in property_sets),
+        )
+
+    @cached_property
+    def _index(self) -> dict[TemporalProperty, int]:
+        return {p: i for i, p in enumerate(self.items)}
+
+    def mask(self, properties: Iterable[TemporalProperty]) -> int:
+        return sum(1 << self._index[p] for p in set(properties))
+
+    def properties(self, mask: int) -> frozenset[TemporalProperty]:
+        return frozenset(self.items[i] for i in bits(mask))
 
 
 def reachability(model: ScriptModel) -> dict[int, frozenset[int]]:

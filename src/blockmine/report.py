@@ -14,21 +14,28 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__
-from .anomalies import Anomaly, SweepCell, Violation, find_violations, rank_anomalies
+from .anomalies import Anomaly, DeviationClasses, SweepCell, Violation
 from .blocks import table_version
 from .ingest import RawProject, ScriptSource, enumerate_scripts
-from .mining import MiningConfig, Pattern, mine_closed_patterns
+from .mining import MiningConfig, Pattern, mine_vocabulary
 from .model import ScriptModel, build_script_model, model_to_document, model_to_dot
 from .properties import (
     PropertySet,
+    Vocabulary,
     properties_to_dot,
     property_to_document,
     props,
     sorted_properties,
 )
+
+
+def _models(projects: Sequence[RawProject]) -> Iterator[ScriptModel]:
+    for project in projects:
+        for script in enumerate_scripts(project):
+            yield build_script_model(script, project)
 
 
 def extract_models(projects: Sequence[RawProject]) -> list[ScriptModel]:
@@ -38,15 +45,13 @@ def extract_models(projects: Sequence[RawProject]) -> list[ScriptModel]:
     epsilon-free and need no elimination pass. Extraction runs serially:
     the work is pure Python and holds the interpreter lock.
     """
-    return [
-        build_script_model(script, project)
-        for project in projects
-        for script in enumerate_scripts(project)
-    ]
+    return list(_models(projects))
 
 
 def extract_property_sets(projects: Sequence[RawProject]) -> list[PropertySet]:
-    return [props(m) for m in extract_models(projects)]
+    """One property set per script, in dataset order; each model is freed
+    as soon as its properties are taken."""
+    return [props(m) for m in _models(projects)]
 
 
 @dataclass(frozen=True)
@@ -65,12 +70,16 @@ class DatasetStats:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Everything one pass over a dataset produces."""
+    """Everything one pass over a dataset produces.
+
+    `violations` and `anomalies` are read-only sequences: their lengths
+    are counted, and their items are built when read.
+    """
 
     property_sets: list[PropertySet]
     patterns: list[Pattern]
-    violations: list[Violation]
-    anomalies: list[Anomaly]
+    violations: Sequence[Violation]
+    anomalies: Sequence[Anomaly]
     stats: DatasetStats
 
 
@@ -99,9 +108,11 @@ def compute_stats(
 def analyze_dataset(projects: Sequence[RawProject], config: MiningConfig) -> AnalysisResult:
     """Run the whole pipeline on loaded projects."""
     property_sets = extract_property_sets(projects)
-    patterns = mine_closed_patterns(property_sets, config.min_support)
-    violations = find_violations(patterns, property_sets, config)
-    anomalies = rank_anomalies(violations, config)
+    vocab = Vocabulary.of(property_sets)
+    patterns = mine_vocabulary(vocab, config.min_support)
+    classes = DeviationClasses(patterns, vocab, config)
+    violations = classes.violations()
+    anomalies = classes.anomalies(config.min_confidence)
     stats = compute_stats(projects, property_sets, patterns, violations, anomalies)
     return AnalysisResult(
         property_sets=property_sets,

@@ -8,11 +8,22 @@ to audit, which is the point.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from blockmine import BlockLabel, ScriptModel, ScriptSource, TemporalProperty, Violation
+from blockmine import (
+    Anomaly,
+    BlockLabel,
+    MiningConfig,
+    Pattern,
+    PropertySet,
+    ScriptModel,
+    ScriptSource,
+    TemporalProperty,
+    Violation,
+)
 
 
 def brute_force_closed(
@@ -54,6 +65,93 @@ def confidence(violation: Violation, all_violations: Sequence[Violation]) -> Fra
         raise ValueError("violation does not occur in all_violations")
     s = violation.pattern.support
     return Fraction(s, s + v)
+
+
+def naive_patterns(property_sets: Sequence[PropertySet], min_support: int) -> list[Pattern]:
+    """The closed patterns with support >= min_support, in Pattern.sort_key
+    order: brute_force_closed over the distinct property sets (duplicates
+    add no intersection), with supports and supporters counted over all."""
+    distinct = list({ps.properties for ps in property_sets})
+    patterns = []
+    for itemset, _ in brute_force_closed(distinct, 1):
+        holders = [ps.source for ps in property_sets if itemset <= ps.properties]
+        if len(holders) >= min_support:
+            patterns.append(Pattern(itemset, len(holders), frozenset(holders)))
+    return sorted(patterns, key=Pattern.sort_key)
+
+
+def naive_find_violations(
+    patterns: Sequence[Pattern], property_sets: Sequence[PropertySet], config: MiningConfig
+) -> list[Violation]:
+    """One Violation object per (pattern, script) pair, by a double loop."""
+    violations: list[Violation] = []
+    for pattern in patterns:
+        if pattern.size < config.min_pattern_size:
+            continue
+        for ps in property_sets:
+            deviation = pattern.properties - ps.properties
+            if not deviation or len(deviation) > config.max_deviation_level:
+                continue
+            satisfied = pattern.properties & ps.properties
+            if not satisfied:
+                continue
+            assert ps.source is not None
+            violations.append(
+                Violation(
+                    script=ps.source,
+                    pattern=pattern,
+                    deviation=frozenset(deviation),
+                    satisfied=frozenset(satisfied),
+                )
+            )
+    return violations
+
+
+def naive_rank_anomalies(violations: Sequence[Violation], config: MiningConfig) -> list[Anomaly]:
+    """Score every violation object, filter, and sort them all on one tuple
+    key: confidence descending, support descending, deviation size, script
+    identifier, pattern sort key, sorted deviation; ties keep input order."""
+    counts: dict[tuple[Pattern, frozenset[TemporalProperty]], int] = {}
+    for v in violations:
+        key = (v.pattern, v.deviation)
+        counts[key] = counts.get(key, 0) + 1
+    scored = []
+    for violation in violations:
+        v = counts[(violation.pattern, violation.deviation)]
+        c = Fraction(violation.pattern.support, violation.pattern.support + v)
+        if c >= config.min_confidence:
+            scored.append(
+                Anomaly(violation=violation, confidence=c, same_deviation_count=v, rank=0)
+            )
+    scored.sort(
+        key=lambda a: (
+            -a.confidence,
+            -a.pattern.support,
+            len(a.deviation),
+            a.script.ident,
+            a.pattern.sort_key(),
+            tuple(sorted(a.deviation)),
+        )
+    )
+    return [replace(a, rank=i + 1) for i, a in enumerate(scored)]
+
+
+def naive_sweep(
+    property_sets: Sequence[PropertySet],
+    supports: Sequence[int],
+    confidences: Sequence[Fraction],
+    fixed: MiningConfig,
+) -> list[tuple[int, Fraction, int]]:
+    """(support, confidence, anomaly count) per grid cell, each cell a full
+    independent naive run."""
+    cells = []
+    for s in supports:
+        patterns = naive_patterns(property_sets, s)
+        for c in confidences:
+            config = replace(fixed, min_support=s, min_confidence=c)
+            violations = naive_find_violations(patterns, property_sets, config)
+            cells.append((s, c, len(naive_rank_anomalies(violations, config))))
+    return cells
 
 
 def random_mining_instance(

@@ -5,19 +5,28 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmine import (
+    AnalysisResult,
+    AnomalyReport,
     InvalidConfig,
     MiningConfig,
     Pattern,
     PropertySet,
+    ScriptSource,
+    analyze_dataset,
     build_project,
+    compute_stats,
     detect_anomalies,
     extract_property_sets,
     find_violations,
     mine_closed_patterns,
     parameter_sweep,
     rank_anomalies,
+    report_to_json,
+    report_to_text,
 )
 from conftest import (
     FIG_BUGGY_PROPS,
@@ -25,11 +34,20 @@ from conftest import (
     FIG_DEVIATION,
     FIG_PROPS,
     FIG_SCRIPT,
+    GOTO,
     IF,
     MOVE,
+    WGF,
     prop,
 )
-from oracles import confidence, dummy_sources
+from oracles import (
+    confidence,
+    dummy_sources,
+    naive_find_violations,
+    naive_patterns,
+    naive_rank_anomalies,
+    naive_sweep,
+)
 
 RELAXED = MiningConfig(min_support=1, min_confidence="1/100")
 
@@ -317,3 +335,159 @@ def test_sweep_over_a_uniform_corpus_is_all_zero():
     cells = parameter_sweep(sets, [1, 4, 8], ["1/10", "9/10"])
     assert len(cells) == 6
     assert all(cell.anomalies == 0 for cell in cells)
+
+
+# Differential tests: the counted pipeline against the object-per-violation
+# oracle. Projects copy a few script variants, so most property sets repeat
+# and the distinct-set weights do real work.
+
+_COMMANDS = st.sampled_from([MOVE, GOTO, "looks_sayforsecs", "motion_turnright"])
+_BLOCKS = st.one_of(
+    _COMMANDS,
+    st.tuples(
+        st.sampled_from(["control_repeat", IF]), st.lists(_COMMANDS, min_size=1, max_size=2)
+    ),
+)
+_CONFIDENCES = [Fraction(1, 10), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)]
+
+
+@st.composite
+def _classrooms(draw):
+    """Projects of one or two scripts picked from a reference script and a
+    few one-block edits of it, and a configuration that lets violations
+    through."""
+    reference = draw(st.lists(_BLOCKS, min_size=2, max_size=5))
+    variants = [[WGF, *reference]]
+    for _ in range(draw(st.integers(1, 3))):
+        edited = list(reference)
+        at = draw(st.integers(0, len(edited) - 1))
+        edited[at : at + 1] = draw(st.lists(_BLOCKS, max_size=1))  # drop or replace
+        variants.append([WGF, *edited])
+    # Every variant is used once, then projects pick at random.
+    picks = [[k] for k in range(len(variants))]
+    n = draw(st.integers(len(variants) + 1, 14))
+    for _ in range(n - len(variants)):
+        picks.append(draw(st.lists(st.integers(0, len(variants) - 1), min_size=1, max_size=2)))
+    projects = [
+        build_project(f"student_{i:02d}", [("Cat", [variants[k] for k in pick])])
+        for i, pick in enumerate(picks)
+    ]
+    config = MiningConfig(
+        min_support=draw(st.integers(1, n // 2)),
+        min_pattern_size=draw(st.integers(1, 3)),
+        max_deviation_level=draw(st.sampled_from([10000, 4, 2, 1])),
+        min_confidence=draw(st.sampled_from(_CONFIDENCES)),
+    )
+    return projects, config
+
+
+def _anomaly_fields(a):
+    return (
+        a.rank, a.confidence, a.same_deviation_count, a.script, a.pattern, a.deviation, a.satisfied
+    )
+
+
+def _naive_result(projects, sets, config):
+    patterns = naive_patterns(sets, config.min_support)
+    violations = naive_find_violations(patterns, sets, config)
+    anomalies = naive_rank_anomalies(violations, config)
+    stats = compute_stats(projects, sets, patterns, violations, anomalies)
+    return AnalysisResult(sets, patterns, violations, anomalies, stats)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_classrooms())
+def test_counted_pipeline_matches_the_object_oracle(classroom):
+    projects, config = classroom
+    result = analyze_dataset(projects, config)
+    sets = result.property_sets
+    naive = _naive_result(projects, sets, config)
+
+    assert [(p.properties, p.support, p.supporters) for p in result.patterns] == [
+        (p.properties, p.support, p.supporters) for p in naive.patterns
+    ]
+    assert result.stats == naive.stats
+    assert list(result.violations) == naive.violations
+    assert find_violations(result.patterns, sets, config) == naive.violations
+    assert [_anomaly_fields(a) for a in result.anomalies] == [
+        _anomaly_fields(a) for a in naive.anomalies
+    ]
+    assert rank_anomalies(naive.violations, config) == naive.anomalies
+    assert detect_anomalies(sets, config) == naive.anomalies
+    for top in (0, 3, None):
+        ours = AnomalyReport("classroom", config, result)
+        theirs = AnomalyReport("classroom", config, naive)
+        assert report_to_json(ours, top=top) == report_to_json(theirs, top=top)
+        assert report_to_text(ours, top=top) == report_to_text(theirs, top=top)
+
+    supports = sorted({1, config.min_support, len(projects)})
+    cells = parameter_sweep(sets, supports, _CONFIDENCES, config)
+    assert [(c.min_support, c.min_confidence, c.anomalies) for c in cells] == naive_sweep(
+        sets, supports, _CONFIDENCES, config
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c"]), st.frozensets(st.sampled_from(sorted(FIG_PROPS)))
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(1, 4),
+    st.sampled_from(_CONFIDENCES),
+)
+def test_ranking_ties_on_one_identifier_keep_the_oracle_order(scripts, min_support, conf):
+    # Scripts drawn from three identifiers, so equal identifiers (and equal
+    # sources) reach the last tie-breaks: deviation order, then input order.
+    sets = [
+        PropertySet(ScriptSource(name, "Cat", 0, root_block=f"b{i}"), properties)
+        for i, (name, properties) in enumerate(scripts)
+    ]
+    config = MiningConfig(min_support=min_support, min_pattern_size=1, min_confidence=conf)
+    patterns = naive_patterns(sets, min_support)
+    assert mine_closed_patterns(sets, min_support) == patterns
+    violations = naive_find_violations(patterns, sets, config)
+    assert find_violations(patterns, sets, config) == violations
+    expected = naive_rank_anomalies(violations, config)
+    assert rank_anomalies(violations, config) == expected
+    assert detect_anomalies(sets, config) == expected
+
+
+def test_result_sequences_follow_the_sequence_contract():
+    projects = [
+        build_project(f"student_{i:03d}", [("Cat", [FIG_SCRIPT if i < 12 else FIG_BUGGY_SCRIPT])])
+        for i in range(15)
+    ]
+    config = MiningConfig(min_support=3, min_pattern_size=1, min_confidence="1/10")
+    result = analyze_dataset(projects, config)
+    sets = result.property_sets
+    patterns = naive_patterns(sets, config.min_support)
+    violations = naive_find_violations(patterns, sets, config)
+    anomalies = naive_rank_anomalies(violations, config)
+    assert len(violations) > 5 and len(anomalies) > 5
+
+    for sequence, expected in ((result.violations, violations), (result.anomalies, anomalies)):
+        n = len(expected)
+        assert len(sequence) == n
+        assert list(sequence) == expected
+        assert [x for x in sequence] == expected
+        assert sequence[0] == expected[0]
+        assert sequence[n - 1] == expected[-1]
+        assert sequence[-1] == expected[-1]
+        assert sequence[-n] == expected[0]
+        for index in (n, -n - 1, 10**9):
+            with pytest.raises(IndexError):
+                sequence[index]
+        for cut in (
+            slice(None), slice(2, None), slice(None, 3), slice(1, -1), slice(None, None, 2),
+            slice(None, None, -1), slice(-3, None, -2), slice(5, 2), slice(-100, 100),
+            slice(n + 5, n + 10), slice(0, 10**9, 3),
+        ):
+            assert sequence[cut] == expected[cut]
+        assert list(reversed(sequence)) == expected[::-1]
+        assert expected[1] in sequence
+        with pytest.raises(TypeError):
+            sequence[0] = expected[0]

@@ -314,3 +314,54 @@ def test_non_numeric_coordinate_reads_as_zero_and_spares_the_classroom(tmp_path,
     after = {ps.source: ps.properties for ps in extract_property_sets(load_dataset(with_bad))}
     assert {s: p for s, p in after.items() if s.project_id != "odd"} == before
     assert [p for s, p in after.items() if s.project_id == "odd"] == [FIG_PROPS]
+
+
+REPEAT_SCRIPT = ["event_whenflagclicked", ("control_repeat", ["motion_movesteps"])]
+
+
+def _cyclic(edit):
+    """A one-sprite project whose blocks `edit` rewires into a cycle; the
+    blocks are b1.. in script order (see project_to_document)."""
+    doc = project_to_document(build_project("cyclic", [("Cat", [FIG_SCRIPT, REPEAT_SCRIPT])]))
+    edit(doc["targets"][1]["blocks"])
+    return doc
+
+
+def _if_is_its_own_substack(blocks):
+    blocks["b3"]["inputs"]["SUBSTACK"] = [2, "b3"]
+
+
+def _if_body_is_the_forever(blocks):
+    blocks["b3"]["inputs"]["SUBSTACK"] = [2, "b2"]
+
+
+def _repeat_body_continues_into_the_repeat(blocks):
+    blocks["b9"]["next"] = "b8"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_if_is_its_own_substack, _if_body_is_the_forever, _repeat_body_continues_into_the_repeat],
+)
+def test_a_block_cycle_skips_only_its_archive(tmp_path, capsys, edit):
+    clean = write_classroom(tmp_path / "clean", n_correct=3, n_buggy=1)
+    with_bad = write_classroom(tmp_path / "with_bad", n_correct=3, n_buggy=1)
+    bad = _write_json_project(with_bad / "cyclic.json", _cyclic(edit))
+
+    with pytest.raises(MalformedProject, match="twice"):
+        load_project(bad)
+    projects, skips = scan_dataset(with_bad)
+    assert [s.path.name for s in skips] == ["cyclic.json"]
+    assert projects == load_dataset(clean)
+
+    assert main(["mine", str(with_bad), "--min-support", "1", "--format", "json"]) == 0
+    with_bad_report = json.loads(capsys.readouterr().out)
+    assert main(["mine", str(clean), "--min-support", "1", "--format", "json"]) == 0
+    clean_report = json.loads(capsys.readouterr().out)
+    del with_bad_report["dataset"], clean_report["dataset"]
+    assert with_bad_report == clean_report
+
+
+def test_an_acyclic_project_with_the_same_blocks_loads(tmp_path):
+    path = _write_json_project(tmp_path / "fine.json", _cyclic(lambda blocks: None))
+    assert load_project(path).warnings == ()
