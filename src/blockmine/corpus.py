@@ -491,7 +491,8 @@ def load_corpus_spec(path: str | Path) -> CorpusSpec:
     if not isinstance(doc, dict) or not isinstance(doc.get("reference"), str):
         raise InvalidConfig(f"{p}: corpus spec needs a reference path")
     n_correct = doc.get("n_correct", 0)
-    if not isinstance(n_correct, int) or n_correct < 0:
+    # bool is a subclass of int, but true is not a count or a seed.
+    if isinstance(n_correct, bool) or not isinstance(n_correct, int) or n_correct < 0:
         raise InvalidConfig(f"{p}: n_correct must be a nonnegative integer")
     mutations = []
     for i, m in enumerate(doc.get("mutations", ())):
@@ -512,7 +513,7 @@ def load_corpus_spec(path: str | Path) -> CorpusSpec:
         if replacement is not None and not isinstance(replacement, str):
             raise InvalidConfig(f"{p}: mutation {i} replacement must be a string")
         seed = m.get("seed", 0)
-        if not isinstance(seed, int):
+        if isinstance(seed, bool) or not isinstance(seed, int):
             raise InvalidConfig(f"{p}: mutation {i} seed must be an integer")
         mutations.append(
             MutationSpec(kind=kind, target=target, replacement=replacement, seed=seed)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import io
 import json
 import logging
+import lzma
 import math
 import zipfile
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -114,27 +116,34 @@ class SkipRecord:
     reason: str
 
 
+# What zipfile and its decompressors raise for a damaged, encrypted or
+# unsupported archive. RuntimeError covers encryption and, through
+# NotImplementedError, unknown compression methods and zip versions;
+# ValueError covers bad offsets and undecodable member names.
+_ZIP_ERRORS = (zipfile.BadZipFile, OSError, EOFError, ValueError, RuntimeError,
+               zlib.error, lzma.LZMAError)
+
+
 def _project_document(data: bytes, path: Path) -> dict:
     """Extract the project document from raw archive bytes."""
     if zipfile.is_zipfile(io.BytesIO(data)):
         try:
             with zipfile.ZipFile(io.BytesIO(data)) as zf:
-                raw = zf.read("project.json")
+                text = zf.read("project.json")
         except KeyError:
             raise MalformedProject(f"{path.name}: archive has no project.json") from None
-        except (zipfile.BadZipFile, OSError) as exc:
+        except _ZIP_ERRORS as exc:
             raise ArchiveUnreadable(f"{path.name}: broken zip archive: {exc}") from exc
-        try:
-            doc = json.loads(raw)
-        except ValueError as exc:
-            raise MalformedProject(f"{path.name}: project.json is not valid JSON") from exc
+        not_json = MalformedProject(f"{path.name}: project.json is not valid JSON")
     else:
-        try:
-            doc = json.loads(data)
-        except ValueError:
-            raise ArchiveUnreadable(
-                f"{path.name}: neither a zip archive nor JSON text"
-            ) from None
+        text = data
+        not_json = ArchiveUnreadable(f"{path.name}: neither a zip archive nor JSON text")
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        raise not_json from None
+    except RecursionError:
+        raise MalformedProject(f"{path.name}: project document nests too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("targets"), list):
         raise MalformedProject(f"{path.name}: no targets array in project document")
     return doc
@@ -269,20 +278,32 @@ def _canonical_root_order(blocks: Iterable[RawBlock]) -> list[RawBlock]:
     return sorted(blocks, key=lambda b: (b.y, b.x, b.id))
 
 
-def _repeated_block(actor: Actor, root_id: str) -> str | None:
-    """The first block the stack at root_id reaches twice, through next or
-    a substack, or None. In a well-formed stack every block has one parent;
-    a repeat is a reference cycle, and a model of it would never end."""
+# Deepest substack nesting a script may have. The model builder and the
+# stack walkers recurse once per level, and Python stops them at about
+# 1000 frames; no hand-built script comes near this depth.
+MAX_NESTING = 500
+
+
+def _script_fault(actor: Actor, root_id: str) -> str | None:
+    """Why the stack at root_id cannot be modelled, or None.
+
+    In a well-formed stack every block has one parent; a block reached
+    twice, through next or a substack, is a reference cycle, and a model
+    of it would never end. Substacks nested deeper than MAX_NESTING would
+    exhaust the recursion of the walkers.
+    """
     seen: set[str] = set()
-    pending: list[str | None] = [root_id]
+    pending: list[tuple[str, int]] = [(root_id, 0)]
     while pending:
-        block_id = pending.pop()
+        block_id, depth = pending.pop()
+        if depth > MAX_NESTING:
+            return f"nests substacks deeper than {MAX_NESTING} levels"
         while block_id is not None:
             if block_id in seen:
-                return block_id
+                return f"reaches block {block_id!r} twice"
             seen.add(block_id)
             block = actor.blocks[block_id]  # references were resolved on parse
-            pending.extend(block.substacks)
+            pending.extend((sub, depth + 1) for sub in block.substacks if sub is not None)
             block_id = block.next
     return None
 
@@ -290,10 +311,11 @@ def _repeated_block(actor: Actor, root_id: str) -> str | None:
 def load_project(path: str | Path) -> RawProject:
     """Parse one solution archive (.sb3 zip or bare project.json).
 
-    Raises ArchiveUnreadable for bytes that are neither a zip nor JSON, and
-    MalformedProject when the archive exists but holds no usable project,
-    or when a script reaches one block twice. Other schema violations
-    inside a valid project become warning records.
+    Raises ArchiveUnreadable for bytes that are neither a readable zip nor
+    JSON, and MalformedProject when the archive exists but holds no usable
+    project, or when a script reaches one block twice or nests its
+    substacks deeper than MAX_NESTING. Other schema violations inside a
+    valid project become warning records.
     """
     p = Path(path)
     try:
@@ -310,12 +332,9 @@ def load_project(path: str | Path) -> RawProject:
             continue
         actor = _parse_target(target, warnings)
         for root_id in actor.script_roots:
-            repeated = _repeated_block(actor, root_id)
-            if repeated is not None:
-                raise MalformedProject(
-                    f"{p.name}: {actor.name}: script {root_id!r} reaches block"
-                    f" {repeated!r} twice"
-                )
+            fault = _script_fault(actor, root_id)
+            if fault is not None:
+                raise MalformedProject(f"{p.name}: {actor.name}: script {root_id!r} {fault}")
         actors.append(actor)
 
     # Duplicate actor names would break script provenance; disambiguate.

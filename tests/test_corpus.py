@@ -263,6 +263,22 @@ def test_corpus_spec_errors(tmp_path):
         load_corpus_spec(unknown_kind)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"reference": "r.sb3", "n_correct": True},
+        {"reference": "r.sb3", "n_correct": 1,
+         "mutations": [{"kind": "missing-block", "target": "control_if", "seed": True}]},
+    ],
+    ids=["n_correct", "seed"],
+)
+def test_corpus_spec_rejects_booleans_as_numbers(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(InvalidConfig):
+        load_corpus_spec(path)
+
+
 def test_a_bare_string_script_is_rejected():
     with pytest.raises(InvalidConfig):
         build_project("oops", [("Cat", ["event_whenflagclicked"])])

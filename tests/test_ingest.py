@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
 import json
+import random
+import struct
 import zipfile
 
 import pytest
@@ -22,6 +25,7 @@ from blockmine import (
     write_project_archive,
 )
 from blockmine.cli import main
+from blockmine.ingest import MAX_NESTING
 from conftest import FIG_PROPS, FIG_SCRIPT, write_classroom
 
 
@@ -339,19 +343,15 @@ def _repeat_body_continues_into_the_repeat(blocks):
     blocks["b9"]["next"] = "b8"
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [_if_is_its_own_substack, _if_body_is_the_forever, _repeat_body_continues_into_the_repeat],
-)
-def test_a_block_cycle_skips_only_its_archive(tmp_path, capsys, edit):
+def _assert_only_skipped(tmp_path, capsys, name, data):
+    """Writing `data` as archive `name` next to a small classroom makes
+    that one archive a skip record and leaves the report unchanged."""
     clean = write_classroom(tmp_path / "clean", n_correct=3, n_buggy=1)
     with_bad = write_classroom(tmp_path / "with_bad", n_correct=3, n_buggy=1)
-    bad = _write_json_project(with_bad / "cyclic.json", _cyclic(edit))
+    (with_bad / name).write_bytes(data)
 
-    with pytest.raises(MalformedProject, match="twice"):
-        load_project(bad)
     projects, skips = scan_dataset(with_bad)
-    assert [s.path.name for s in skips] == ["cyclic.json"]
+    assert [s.path.name for s in skips] == [name]
     assert projects == load_dataset(clean)
 
     assert main(["mine", str(with_bad), "--min-support", "1", "--format", "json"]) == 0
@@ -362,6 +362,132 @@ def test_a_block_cycle_skips_only_its_archive(tmp_path, capsys, edit):
     assert with_bad_report == clean_report
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [_if_is_its_own_substack, _if_body_is_the_forever, _repeat_body_continues_into_the_repeat],
+)
+def test_a_block_cycle_skips_only_its_archive(tmp_path, capsys, edit):
+    bad = _write_json_project(tmp_path / "cyclic.json", _cyclic(edit))
+    with pytest.raises(MalformedProject, match="twice"):
+        load_project(bad)
+    _assert_only_skipped(tmp_path, capsys, "cyclic.json", bad.read_bytes())
+
+
 def test_an_acyclic_project_with_the_same_blocks_loads(tmp_path):
     path = _write_json_project(tmp_path / "fine.json", _cyclic(lambda blocks: None))
     assert load_project(path).warnings == ()
+
+
+def _zip_bytes(payload: bytes, compression: int = zipfile.ZIP_DEFLATED) -> bytearray:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", compression=compression) as zf:
+        zf.writestr("project.json", payload)
+    return bytearray(buffer.getvalue())
+
+
+_VALID_PAYLOAD = project_payload(build_project("ok", [("Cat", [FIG_SCRIPT])]))
+
+
+def _edited_zip(edit) -> bytes:
+    """A deflated zip of a valid project after edit(data, central, end);
+    its local header is at 0, its central directory entry at `central`
+    and its end record at `end`."""
+    data = _zip_bytes(_VALID_PAYLOAD)
+    edit(data, data.find(b"PK\x01\x02"), data.rfind(b"PK\x05\x06"))
+    return bytes(data)
+
+
+def _corrupt_deflate_stream(data, central, end):
+    start = 30 + len("project.json")  # the compressed bytes follow the local header
+    data[start:start + 5] = b"\xff" * 5
+
+
+def _encrypted(data, central, end):
+    struct.pack_into("<H", data, 6, 0x1)
+    struct.pack_into("<H", data, central + 8, 0x1)
+
+
+def _compression_method_99(data, central, end):
+    struct.pack_into("<H", data, 8, 99)
+    struct.pack_into("<H", data, central + 10, 99)
+
+
+def _member_before_the_archive_start(data, central, end):
+    struct.pack_into("<I", data, end + 16, central + 36)  # central directory offset
+
+
+def _member_runs_past_the_end(data, central, end):
+    struct.pack_into("<H", data, 28, len(data))  # local extra field length
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (_edited_zip(_corrupt_deflate_stream), ArchiveUnreadable),
+        (_edited_zip(_encrypted), ArchiveUnreadable),
+        (_edited_zip(_compression_method_99), ArchiveUnreadable),
+        (_edited_zip(_member_before_the_archive_start), ArchiveUnreadable),
+        (_edited_zip(_member_runs_past_the_end), ArchiveUnreadable),
+        (bytes(_zip_bytes(b"[" * 100_000 + b"]" * 100_000)), MalformedProject),
+        (b"[" * 100_000 + b"]" * 100_000, MalformedProject),
+    ],
+    ids=["corrupt-deflate", "encrypted", "compression-99", "negative-offset", "truncated",
+         "deep-json-in-zip", "deep-bare-json"],
+)
+def test_an_undecodable_archive_skips_only_itself(tmp_path, capsys, data, error):
+    bad = tmp_path / "bad.sb3"
+    bad.write_bytes(data)
+    with pytest.raises(error):
+        load_project(bad)
+    _assert_only_skipped(tmp_path, capsys, "bad.sb3", data)
+
+
+@pytest.mark.parametrize(
+    "compression",
+    [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2, zipfile.ZIP_LZMA],
+)
+def test_damaged_zip_bytes_raise_only_load_errors(tmp_path, compression):
+    base = _zip_bytes(_VALID_PAYLOAD, compression)
+    rng = random.Random(compression)
+    path = tmp_path / "damaged.sb3"
+    for _ in range(1000):
+        data = bytearray(base)
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        path.write_bytes(bytes(data[: rng.randint(len(data) // 2, len(data))]))
+        try:
+            load_project(path)
+        except (ArchiveUnreadable, MalformedProject):
+            pass
+
+
+def _nested_ifs(depth: int) -> dict:
+    """A project whose one script is a hat and `depth` nested if blocks
+    around a move block."""
+    blocks = {"hat": {"opcode": "event_whenflagclicked", "next": "if1", "topLevel": True}}
+    for level in range(1, depth + 1):
+        body = f"if{level + 1}" if level < depth else "move"
+        blocks[f"if{level}"] = {"opcode": "control_if", "inputs": {"SUBSTACK": [2, body]}}
+    blocks["move"] = {"opcode": "motion_movesteps"}
+    return {"targets": [
+        {"name": "Stage", "isStage": True, "blocks": {}},
+        {"name": "Cat", "isStage": False, "blocks": blocks},
+    ]}
+
+
+def test_nesting_past_the_limit_skips_only_its_archive(tmp_path, capsys):
+    bad = _write_json_project(tmp_path / "deep.json", _nested_ifs(3000))
+    with pytest.raises(MalformedProject, match="deeper than"):
+        load_project(bad)
+    with pytest.raises(MalformedProject, match="deeper than"):
+        load_project(_write_json_project(tmp_path / "over.json", _nested_ifs(MAX_NESTING + 1)))
+    _assert_only_skipped(tmp_path, capsys, "deep.json", bad.read_bytes())
+
+
+@pytest.mark.parametrize("depth", [100, MAX_NESTING])
+def test_nesting_up_to_the_limit_is_modelled(tmp_path, depth):
+    project = load_project(_write_json_project(tmp_path / "deep.json", _nested_ifs(depth)))
+    [properties] = extract_property_sets([project])
+    names = {(p.first.opcode, p.second.opcode) for p in properties.properties}
+    assert ("event_whenflagclicked", "motion_movesteps") in names
+    assert ("control_if", "control_if") in names

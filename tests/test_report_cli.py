@@ -27,7 +27,7 @@ from blockmine import (
     sweep_to_document,
     extract_property_sets,
 )
-from blockmine.cli import main
+from blockmine.cli import build_parser, main
 from conftest import FIG_SCRIPT, write_classroom
 
 
@@ -370,3 +370,68 @@ def test_text_and_json_reports_name_the_same_anomalies(classroom_result):
         ident = f"{script['project']}/{script['actor']}[{script['script_index']}]"
         assert f"    script:  {ident}" in text
         assert f"#{entry['rank']}  confidence {entry['confidence']}" in text
+
+
+@pytest.mark.parametrize(
+    "variable, value, command",
+    [
+        ("BLOCKMINE_PRESET", "huge-class", "mine"),
+        ("BLOCKMINE_MIN_SUPPORT", "lots", "mine"),
+        ("BLOCKMINE_MIN_CONFIDENCE", "most", "mine"),
+        ("BLOCKMINE_MIN_SIZE", "2.5", "mine"),
+        ("BLOCKMINE_MAX_DEVIATION", "", "mine"),
+        ("BLOCKMINE_JOBS", "two", "mine"),
+        ("BLOCKMINE_TOP", "ten", "mine"),
+        ("BLOCKMINE_FORMAT", "xml", "mine"),
+        ("BLOCKMINE_SUPPORTS", "5,x", "sweep"),
+        ("BLOCKMINE_CONFIDENCES", "0.5,/", "sweep"),
+    ],
+)
+def test_cli_bad_variable_is_named_before_the_dataset_is_read(
+    tmp_path, capsys, monkeypatch, variable, value, command
+):
+    monkeypatch.setenv(variable, value)
+    assert main([command, str(tmp_path / "missing")]) == 1
+    assert variable in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine", "--min-confidence", "2"],
+        ["mine", "--min-support", "0"],
+        ["mine", "--format", "dot"],
+        ["stats", "--jobs", "0"],
+        ["sweep", "--supports", "0,5"],
+        ["sweep", "--confidences", "0.5,2"],
+        ["extract-models"],
+    ],
+)
+def test_cli_config_error_stops_before_the_dataset_is_read(tmp_path, capsys, monkeypatch, argv):
+    def load_dataset(directory):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr("blockmine.cli.load_dataset", load_dataset)
+    assert main([argv[0], str(tmp_path), *argv[1:]]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_environment_beats_preset(cli_classroom, tmp_path, monkeypatch):
+    monkeypatch.setenv("BLOCKMINE_MIN_SUPPORT", "12")
+    out = tmp_path / "r.json"
+    assert main(["mine", str(cli_classroom), "--preset", "small-class",
+                 "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["min_support"] == 12
+    assert doc["config"]["min_confidence"] == "7/10"
+
+
+def test_parser_leaves_absent_options_unset_and_keeps_their_types():
+    parser = build_parser()
+    args = vars(parser.parse_args(["mine", "d"]))
+    assert args.pop("command") == "mine" and args.pop("dataset") == "d"
+    assert set(args.values()) == {None}
+    args = parser.parse_args(["mine", "d", "--min-support", "5", "--min-confidence", "0.5",
+                              "--max-deviation", "2", "--top", "3"])
+    assert (args.min_support, args.min_confidence, args.max_deviation, args.top) == (5, "0.5", 2, 3)
+    assert parser.parse_args(["sweep", "d", "--supports", "1,2"]).supports == "1,2"
