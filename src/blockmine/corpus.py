@@ -300,17 +300,24 @@ class MutationSpec:
 
 
 def _hanging_ids(blocks: Mapping[str, RawBlock], block_id: str) -> set[str]:
-    """The block plus everything nested under it (not its next-chain)."""
+    """The block plus everything nested under it (not its next-chain).
+
+    Iterative, with a visited set: reporter inputs can nest deeper than
+    Python's recursion allows, and a malformed file can point back up.
+    """
     ids = {block_id}
-    block = blocks[block_id]
-    for child in block.reporter_children:
-        if child in blocks:
-            ids |= _hanging_ids(blocks, child)
-    for sub in block.substacks:
-        current = sub
-        while current is not None and current in blocks and current not in ids:
-            ids |= _hanging_ids(blocks, current)
-            current = blocks[current].next
+    pending = [(block_id, False)]  # (block, whether its next-chain is nested too)
+    while pending:
+        current, in_substack = pending.pop()
+        block = blocks[current]
+        nested = [(child, False) for child in block.reporter_children]
+        nested += [(sub, True) for sub in block.substacks if sub is not None]
+        if in_substack and block.next is not None:
+            nested.append((block.next, True))
+        for child, chained in nested:
+            if child in blocks and child not in ids:
+                ids.add(child)
+                pending.append((child, chained))
     return ids
 
 

@@ -50,11 +50,6 @@ class RawBlock:
     x: float = 0.0
     y: float = 0.0
 
-    def substack(self, index: int) -> str | None:
-        if index < len(self.substacks):
-            return self.substacks[index]
-        return None
-
 
 @dataclass(frozen=True)
 class Actor:
@@ -124,16 +119,26 @@ _ZIP_ERRORS = (zipfile.BadZipFile, OSError, EOFError, ValueError, RuntimeError,
                zlib.error, lzma.LZMAError)
 
 
+# Largest project.json an archive may inflate to. The member is read with
+# this bound, not by its header's size field, which a crafted archive can
+# set to anything; hand-built projects stay far below it.
+MAX_PROJECT_BYTES = 64 * 1024 * 1024
+
+
 def _project_document(data: bytes, path: Path) -> dict:
     """Extract the project document from raw archive bytes."""
     if zipfile.is_zipfile(io.BytesIO(data)):
         try:
-            with zipfile.ZipFile(io.BytesIO(data)) as zf:
-                text = zf.read("project.json")
+            with zipfile.ZipFile(io.BytesIO(data)) as zf, zf.open("project.json") as member:
+                text = member.read(MAX_PROJECT_BYTES + 1)
         except KeyError:
             raise MalformedProject(f"{path.name}: archive has no project.json") from None
         except _ZIP_ERRORS as exc:
             raise ArchiveUnreadable(f"{path.name}: broken zip archive: {exc}") from exc
+        if len(text) > MAX_PROJECT_BYTES:
+            raise MalformedProject(
+                f"{path.name}: project.json inflates past {MAX_PROJECT_BYTES} bytes"
+            )
         not_json = MalformedProject(f"{path.name}: project.json is not valid JSON")
     else:
         text = data
@@ -313,9 +318,10 @@ def load_project(path: str | Path) -> RawProject:
 
     Raises ArchiveUnreadable for bytes that are neither a readable zip nor
     JSON, and MalformedProject when the archive exists but holds no usable
-    project, or when a script reaches one block twice or nests its
-    substacks deeper than MAX_NESTING. Other schema violations inside a
-    valid project become warning records.
+    project, when its project.json inflates past MAX_PROJECT_BYTES, or
+    when a script reaches one block twice or nests its substacks deeper
+    than MAX_NESTING. Other schema violations inside a valid project become
+    warning records.
     """
     p = Path(path)
     try:

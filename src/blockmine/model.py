@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 from .blocks import BlockKind, BlockLabel, PROCEDURE_OPCODES, classify_opcode
-from .ingest import Actor, RawBlock, RawProject, ScriptSource, stack_chain
+from .ingest import RawProject, ScriptSource, stack_chain
 
 # (source location, block label or None for epsilon, target location)
 Transition = tuple[int, BlockLabel | None, int]
@@ -85,13 +85,47 @@ class _Continuation:
         return self._value
 
 
-def _block_label(block: RawBlock) -> BlockLabel:
-    detail = block.proccode if block.opcode in PROCEDURE_OPCODES else ""
-    return BlockLabel(block.opcode, detail)
+# One command block as the builder reads it: opcode, label detail (the
+# proccode of a procedure block, else ""), and one entry per substack slot:
+# the index of that slot's chain in the shape, or None for an empty slot.
+ShapeBlock = tuple[str, str, tuple[int | None, ...]]
+# The command chains of a script; chain 0 is the top-level stack.
+Shape = tuple[tuple[ShapeBlock, ...], ...]
+
+
+def script_shape(script: ScriptSource, project: RawProject) -> Shape:
+    """Everything build_script_model reads from a script, as a flat tuple.
+
+    Chains are numbered in breadth-first order from the top-level stack, and
+    each block names its substacks by chain number, so equal block
+    structures give equal shapes. Block ids, canvas coordinates and what is
+    plugged into value inputs (reporters and their shadows) are left out.
+    The tuple nests to a fixed depth however deep the script is, so
+    comparing two shapes never recurses once per substack level.
+    """
+    actor = project.actor(script.actor_name)
+    roots: list[str] = [script.root_block]
+    chains: list[tuple[ShapeBlock, ...]] = []
+    for root_id in roots:  # roots grows as substacks are found
+        blocks: list[ShapeBlock] = []
+        for block in stack_chain(actor, root_id):
+            if classify_opcode(block.opcode) is BlockKind.REPORTER:
+                continue
+            slots: list[int | None] = []
+            for sub in block.substacks:
+                if sub is None:
+                    slots.append(None)
+                else:
+                    slots.append(len(roots))
+                    roots.append(sub)
+            detail = block.proccode if block.opcode in PROCEDURE_OPCODES else ""
+            blocks.append((block.opcode, detail, tuple(slots)))
+        chains.append(tuple(blocks))
+    return tuple(chains)
 
 
 def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel:
-    """Build the control-flow model of one script.
+    """Build the control-flow model of one script from its script_shape.
 
     Hats, plain commands, and caps each contribute a single transition; an
     if-then forks into the branch body and a skip edge that both rejoin the
@@ -103,7 +137,12 @@ def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel
     location of the stack joins the exits; caps mark their target as an
     exit and end the stack.
     """
-    actor = project.actor(script.actor_name)
+    return build_shape_model(script_shape(script, project), script)
+
+
+def build_shape_model(shape: Shape, source: ScriptSource | None = None) -> ScriptModel:
+    """The model of every script whose script_shape is `shape`, attributed
+    to `source`."""
     counter = [0]
 
     def alloc() -> int:
@@ -114,18 +153,16 @@ def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel
     exits: set[int] = set()
     entry = 0
 
-    def command_chain(root_id: str | None) -> list[RawBlock]:
-        if root_id is None:
-            return []
-        chain = stack_chain(actor, root_id)
-        return [b for b in chain if classify_opcode(b.opcode) is not BlockKind.REPORTER]
+    def body_of(slots: tuple[int | None, ...], index: int) -> tuple[ShapeBlock, ...]:
+        chain = slots[index] if index < len(slots) else None
+        return () if chain is None else shape[chain]
 
-    def walk(chain: list[RawBlock], cur: int, cont: _Continuation) -> None:
-        for i, block in enumerate(chain):
-            kind = classify_opcode(block.opcode)
+    def walk(chain: tuple[ShapeBlock, ...], cur: int, cont: _Continuation) -> None:
+        for i, (opcode, detail, slots) in enumerate(chain):
+            kind = classify_opcode(opcode)
             if kind is BlockKind.UNKNOWN:
                 kind = BlockKind.COMMAND
-            label = _block_label(block)
+            label = BlockLabel(opcode, detail)
             last = i == len(chain) - 1
             nxt = cont if last else _Continuation(alloc)
 
@@ -138,7 +175,7 @@ def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel
             if kind is BlockKind.FOREVER:
                 head = alloc()
                 transitions.add((cur, label, head))
-                body = command_chain(block.substack(0))
+                body = body_of(slots, 0)
                 if body:
                     walk(body, head, _Continuation.fixed(head))
                 return  # no fall-through: code stacked below never runs
@@ -147,14 +184,14 @@ def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel
                 transitions.add((cur, label, nxt.get()))
             elif kind is BlockKind.IF_THEN:
                 transitions.add((cur, label, nxt.get()))  # skip edge
-                body = command_chain(block.substack(0))
+                body = body_of(slots, 0)
                 if body:
                     body_entry = alloc()
                     transitions.add((cur, label, body_entry))
                     walk(body, body_entry, nxt)
             elif kind is BlockKind.IF_ELSE:
-                for branch in (block.substack(0), block.substack(1)):
-                    body = command_chain(branch)
+                for branch in (0, 1):
+                    body = body_of(slots, branch)
                     if body:
                         body_entry = alloc()
                         transitions.add((cur, label, body_entry))
@@ -163,7 +200,7 @@ def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel
                         transitions.add((cur, label, nxt.get()))
             elif kind in (BlockKind.LOOP_BOUNDED, BlockKind.LOOP_UNTIL):
                 transitions.add((cur, label, nxt.get()))  # fall-through edge
-                body = command_chain(block.substack(0))
+                body = body_of(slots, 0)
                 if body:
                     body_entry = alloc()
                     transitions.add((cur, label, body_entry))
@@ -174,16 +211,16 @@ def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel
                 return  # every branch ended in a cap or forever
             cur = nxt.get()
 
-    chain = command_chain(script.root_block)
+    chain = shape[0]
     if not chain:
         # A script with no command blocks: the entry itself is the exit.
-        return ScriptModel(entry, frozenset({entry}), frozenset(), source=script)
+        return ScriptModel(entry, frozenset({entry}), frozenset(), source=source)
 
     def mark_exit(loc: int) -> None:
         exits.add(loc)
 
     walk(chain, entry, _Continuation(alloc, on_create=mark_exit))
-    return _canonical(entry, exits, transitions, script)
+    return _canonical(entry, exits, transitions, source)
 
 
 def _canonical(

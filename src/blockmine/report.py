@@ -14,28 +14,31 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .anomalies import Anomaly, DeviationClasses, SweepCell, Violation
 from .blocks import table_version
 from .ingest import RawProject, ScriptSource, enumerate_scripts
 from .mining import MiningConfig, Pattern, mine_vocabulary
-from .model import ScriptModel, build_script_model, model_to_document, model_to_dot
+from .model import (
+    ScriptModel,
+    Shape,
+    build_script_model,
+    build_shape_model,
+    model_to_document,
+    model_to_dot,
+    script_shape,
+)
 from .properties import (
     PropertySet,
+    TemporalProperty,
     Vocabulary,
     properties_to_dot,
     property_to_document,
     props,
     sorted_properties,
 )
-
-
-def _models(projects: Sequence[RawProject]) -> Iterator[ScriptModel]:
-    for project in projects:
-        for script in enumerate_scripts(project):
-            yield build_script_model(script, project)
 
 
 def extract_models(projects: Sequence[RawProject]) -> list[ScriptModel]:
@@ -45,13 +48,31 @@ def extract_models(projects: Sequence[RawProject]) -> list[ScriptModel]:
     epsilon-free and need no elimination pass. Extraction runs serially:
     the work is pure Python and holds the interpreter lock.
     """
-    return list(_models(projects))
+    return [
+        build_script_model(script, project)
+        for project in projects
+        for script in enumerate_scripts(project)
+    ]
 
 
 def extract_property_sets(projects: Sequence[RawProject]) -> list[PropertySet]:
-    """One property set per script, in dataset order; each model is freed
-    as soon as its properties are taken."""
-    return [props(m) for m in _models(projects)]
+    """One property set per script, in dataset order.
+
+    Each distinct script shape (the block structure a model is built from)
+    is modelled once, and its properties are taken once: the scripts of one
+    shape share one frozenset of properties. Each model is freed as soon as
+    its properties are taken.
+    """
+    known: dict[Shape, frozenset[TemporalProperty]] = {}
+    property_sets = []
+    for project in projects:
+        for script in enumerate_scripts(project):
+            shape = script_shape(script, project)
+            properties = known.get(shape)
+            if properties is None:
+                properties = known[shape] = props(build_shape_model(shape)).properties
+            property_sets.append(PropertySet(script, properties))
+    return property_sets
 
 
 @dataclass(frozen=True)

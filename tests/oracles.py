@@ -19,10 +19,14 @@ from blockmine import (
     MiningConfig,
     Pattern,
     PropertySet,
+    RawProject,
     ScriptModel,
     ScriptSource,
     TemporalProperty,
     Violation,
+    build_script_model,
+    enumerate_scripts,
+    props,
 )
 
 
@@ -48,6 +52,15 @@ def brute_force_closed(
         if supp >= min_support:
             result.add((itemset, supp))
     return result
+
+
+def per_script_property_sets(projects: Sequence[RawProject]) -> list[PropertySet]:
+    """One model and one props call per script, nothing shared."""
+    return [
+        props(build_script_model(script, project))
+        for project in projects
+        for script in enumerate_scripts(project)
+    ]
 
 
 def confidence(violation: Violation, all_violations: Sequence[Violation]) -> Fraction:

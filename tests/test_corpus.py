@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import zipfile
+from dataclasses import replace
 
 import pytest
 
 from blockmine import (
+    Actor,
     InvalidConfig,
     MutationKind,
     MutationSpec,
@@ -22,6 +24,7 @@ from blockmine import (
     props,
     write_project_archive,
 )
+from blockmine.ingest import RawBlock
 from conftest import FIG_SCRIPT
 
 
@@ -109,6 +112,30 @@ def test_missing_block_splices_the_chain():
     opcodes = _script_opcodes(mutant)
     assert "motion_movesteps" not in opcodes
     assert "control_if" in opcodes
+
+
+def test_missing_block_drops_reporters_nested_past_the_recursion_limit():
+    reference = build_project("ref", [("Cat", [[
+        "event_whenflagclicked", "motion_movesteps", "motion_turnright",
+    ]])])
+    cat = reference.actor("Cat")
+    blocks = dict(cat.blocks)
+    (move,) = (b for b in blocks.values() if b.opcode == "motion_movesteps")
+    parent = move.id
+    for depth in range(3000):  # operator_add(operator_add(...)), 3000 deep
+        child = f"add{depth}"
+        blocks[parent] = replace(blocks[parent], reporter_children=(child,))
+        blocks[child] = RawBlock(id=child, opcode="operator_add", parent=parent)
+        parent = child
+    deep = replace(reference, actors=(
+        reference.actors[0], Actor(cat.name, cat.is_stage, blocks, cat.script_roots),
+    ))
+
+    mutant = apply_mutation(deep, MutationSpec(MutationKind.MISSING_BLOCK, "motion_movesteps"))
+    left = mutant.actor("Cat").blocks
+    assert len(blocks) - len(left) == 3001
+    assert not any(b.opcode in ("operator_add", "motion_movesteps") for b in left.values())
+    assert _script_opcodes(mutant) == ["event_whenflagclicked", "motion_turnright"]
 
 
 def test_missing_control_block_drops_its_body():

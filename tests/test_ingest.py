@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import random
 import struct
+import tempfile
 import zipfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmine import (
     ArchiveUnreadable,
+    BlockmineError,
     DatasetEmpty,
     MalformedProject,
     build_project,
@@ -24,9 +30,11 @@ from blockmine import (
     scan_dataset,
     write_project_archive,
 )
+from blockmine import ingest
 from blockmine.cli import main
 from blockmine.ingest import MAX_NESTING
-from conftest import FIG_PROPS, FIG_SCRIPT, write_classroom
+from conftest import FIG_BUGGY_SCRIPT, FIG_PROPS, FIG_SCRIPT, write_classroom
+from oracles import per_script_property_sets
 
 
 def _write_json_project(path, doc):
@@ -486,8 +494,117 @@ def test_nesting_past_the_limit_skips_only_its_archive(tmp_path, capsys):
 
 @pytest.mark.parametrize("depth", [100, MAX_NESTING])
 def test_nesting_up_to_the_limit_is_modelled(tmp_path, depth):
-    project = load_project(_write_json_project(tmp_path / "deep.json", _nested_ifs(depth)))
-    [properties] = extract_property_sets([project])
-    names = {(p.first.opcode, p.second.opcode) for p in properties.properties}
+    # Two copies: the second one's shape is compared with the first's.
+    path = _write_json_project(tmp_path / "deep.json", _nested_ifs(depth))
+    first, second = extract_property_sets([load_project(path), load_project(path)])
+    assert second.properties is first.properties
+    names = {(p.first.opcode, p.second.opcode) for p in first.properties}
     assert ("event_whenflagclicked", "motion_movesteps") in names
     assert ("control_if", "control_if") in names
+
+
+def test_a_project_json_inflating_past_the_cap_skips_only_itself(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ingest, "MAX_PROJECT_BYTES", 1 << 20)
+    # valid JSON, so only its inflated size can reject it
+    bomb = bytes(_zip_bytes(b'{"targets": [' + b" " * (8 << 20) + b"]}"))
+    assert len(bomb) < 20_000
+    path = tmp_path / "bomb.sb3"
+    path.write_bytes(bomb)
+    with pytest.raises(MalformedProject, match="inflates past"):
+        load_project(path)
+    _assert_only_skipped(tmp_path, capsys, "bomb.sb3", bomb)
+
+    exact = tmp_path / "exact.sb3"
+    exact.write_bytes(bytes(_zip_bytes(_VALID_PAYLOAD)))
+    monkeypatch.setattr(ingest, "MAX_PROJECT_BYTES", len(_VALID_PAYLOAD))
+    assert enumerate_scripts(load_project(exact))
+    monkeypatch.setattr(ingest, "MAX_PROJECT_BYTES", len(_VALID_PAYLOAD) - 1)
+    with pytest.raises(MalformedProject, match="inflates past"):
+        load_project(exact)
+
+
+# Fuzzing: edits to a valid project document, one block at a time.
+_FUZZ_DOCUMENT = project_to_document(build_project("fuzz", [
+    ("Cat", [
+        FIG_SCRIPT,
+        ["event_whenkeypressed",
+         ("control_if_else", ["looks_say", "control_stop"], ["motion_turnright"]),
+         ("control_repeat", [{"opcode": "procedures_call", "proccode": "jump %s"}])],
+    ]),
+    ("Dog", [[{"opcode": "procedures_definition", "proccode": "jump %s"}, "motion_movesteps"]]),
+]))
+_FUZZ_BLOCKS = [
+    (t, block_id)
+    for t, target in enumerate(_FUZZ_DOCUMENT["targets"])
+    for block_id in sorted(target["blocks"])
+]
+_FUZZ_KEYS = ["next", "parent", "inputs", "topLevel", "x", "mutation", "opcode", "shadow"]
+_ODD_VALUES = [
+    None, 0, -1.5, float("inf"), "", "left", True, [], {}, [2], [2, None], [2, 7],
+    {"SUBSTACK": 3}, {"SUBSTACK": [2]}, {"SUBSTACK": [2, None, None]}, {"proccode": 5},
+]
+_REFERENCE_SLOTS = ["next", "parent", "SUBSTACK", "SUBSTACK2", "ARG0"]
+_BLOCK = st.sampled_from(_FUZZ_BLOCKS)
+_DOCUMENT_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("drop"), _BLOCK, st.sampled_from(_FUZZ_KEYS)),
+        st.tuples(st.just("set"), _BLOCK, st.sampled_from(_FUZZ_KEYS), st.sampled_from(_ODD_VALUES)),
+        st.tuples(
+            st.just("point"), _BLOCK, st.sampled_from(_REFERENCE_SLOTS),
+            st.one_of(st.sampled_from([b for _, b in _FUZZ_BLOCKS]), st.just("ghost")),
+        ),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _edited_document(edits) -> dict:
+    doc = copy.deepcopy(_FUZZ_DOCUMENT)
+    for edit in edits:
+        kind, (t, block_id) = edit[0], edit[1]
+        block = doc["targets"][t]["blocks"][block_id]
+        if kind == "drop":
+            block.pop(edit[2], None)
+        elif kind == "set":
+            block[edit[2]] = copy.deepcopy(edit[3])
+        elif edit[2] in ("next", "parent"):
+            block[edit[2]] = edit[3]
+        elif isinstance(block.get("inputs"), dict):
+            block["inputs"][edit[2]] = [2, edit[3]]
+        else:
+            block["inputs"] = {edit[2]: [2, edit[3]]}
+    return doc
+
+
+_FUZZ_NEIGHBOURS = {
+    "a_clean": project_payload(build_project("a_clean", [("Cat", [FIG_SCRIPT])])),
+    "c_clean": project_payload(build_project("c_clean", [("Cat", [FIG_BUGGY_SCRIPT])])),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENT_EDITS)
+def test_fuzzed_documents_fail_only_as_skips(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "classroom"
+        directory.mkdir()
+        for name, payload in _FUZZ_NEIGHBOURS.items():
+            (directory / f"{name}.json").write_bytes(payload)
+        neighbours = load_dataset(directory)
+        fuzzed = _write_json_project(directory / "b_fuzzed.json", _edited_document(edits))
+        try:
+            project = load_project(fuzzed)
+        except BlockmineError:
+            project = None
+
+        projects, skips = scan_dataset(directory)
+        if project is None:
+            assert [s.path.name for s in skips] == ["b_fuzzed.json"]
+            assert projects == neighbours
+        else:
+            assert skips == []
+            assert projects == [neighbours[0], project, neighbours[1]]
+        assert extract_property_sets(projects) == per_script_property_sets(projects)
+        out = Path(tmp) / "report.json"
+        assert main(["mine", str(directory), "--min-support", "1", "--out", str(out)]) == 0

@@ -2,26 +2,48 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from blockmine import (
+    Actor,
     BlockLabel,
+    MutationKind,
+    MutationSpec,
+    RawProject,
     ScriptModel,
     TemporalProperty,
+    build_project,
     build_script_model,
     enumerate_scripts,
+    extract_property_sets,
     format_properties,
+    generate_corpus,
+    load_dataset,
     properties_to_dot,
     props,
     reachability,
     sorted_properties,
 )
+from blockmine import report
+from blockmine.model import script_shape
 from conftest import (
     FIG_BUGGY_PROPS,
     FIG_DEVIATION,
     FIG_PROPS,
+    FIG_SCRIPT,
+    GOTO,
+    IF,
     MOVE,
     hand_built_fig_model,
     prop,
 )
+from oracles import per_script_property_sets
+from test_model import _SCRIPTS
 
 HAT = "event_whenflagclicked"
 
@@ -176,3 +198,163 @@ def test_temporal_property_is_hashable_and_ordered():
     assert a == b and hash(a) == hash(b)
     assert sorted([prop(MOVE, HAT), a]) == [a, prop(MOVE, HAT)]
     assert isinstance({a, b}, set) and len({a, b}) == 1
+
+
+# extract_property_sets models each distinct script shape once. The tests
+# below hold it to the per-script path, which shares nothing.
+
+
+def _relabelled(project: RawProject, tag: str, shift: float) -> RawProject:
+    """The same project under another id, with every block id renamed and
+    every stack moved on the canvas."""
+
+    def rename(block_id: str | None) -> str | None:
+        return None if block_id is None else f"{tag}{block_id[::-1]}"
+
+    actors = []
+    for actor in project.actors:
+        blocks = {
+            rename(b.id): replace(
+                b,
+                id=rename(b.id),
+                next=rename(b.next),
+                parent=rename(b.parent),
+                substacks=tuple(rename(sub) for sub in b.substacks),
+                reporter_children=tuple(rename(c) for c in b.reporter_children),
+                x=b.x + shift,
+                y=b.y + shift,
+            )
+            for b in actor.blocks.values()
+        }
+        roots = tuple(rename(r) for r in actor.script_roots)
+        actors.append(Actor(actor.name, actor.is_stage, blocks, roots))
+    return RawProject(f"{project.project_id}-{tag}", tuple(actors))
+
+
+def _shapes(projects):
+    return [script_shape(s, p) for p in projects for s in enumerate_scripts(p)]
+
+
+def _assert_shared_exactly_by_shape(projects) -> list:
+    """extract_property_sets equals the per-script path, sources included,
+    and two scripts share one frozenset exactly when their shapes match."""
+    sets = extract_property_sets(projects)
+    assert sets == per_script_property_sets(projects)
+    for (a, shape_a), (b, shape_b) in combinations(zip(sets, _shapes(projects)), 2):
+        assert (a.properties is b.properties) == (shape_a == shape_b)
+    return sets
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the models extract_property_sets builds and the props calls
+    it makes."""
+    counts = {"build": 0, "props": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(report, "build_shape_model", counted("build", report.build_shape_model))
+    monkeypatch.setattr(report, "props", counted("props", report.props))
+    return counts
+
+
+def test_memo_matches_the_per_script_path_on_the_classroom(classroom_dir, builds):
+    projects = load_dataset(classroom_dir)
+    sets = _assert_shared_exactly_by_shape(projects)
+    assert len(sets) == 31
+    # 30 clones and one buggy script: two shapes, each modelled once
+    assert builds == {"build": 2, "props": 2}
+
+
+def test_memo_matches_the_per_script_path_on_every_mutation_kind(tmp_path):
+    reference = build_project("reference", [
+        ("Cat", [
+            FIG_SCRIPT,
+            ["event_whenkeypressed",
+             ("control_if_else", ["looks_say", "control_stop"], ["motion_turnright"]),
+             ("control_repeat", [MOVE, {"opcode": "procedures_call", "proccode": "jump %s"}])],
+        ]),
+        ("Dog", [[{"opcode": "procedures_definition", "proccode": "jump %s"}, MOVE]]),
+    ])
+    mutations = [
+        MutationSpec(MutationKind.WRONG_BLOCK, MOVE, GOTO, seed=seed) for seed in range(3)
+    ] + [
+        MutationSpec(MutationKind.MISSING_BLOCK, "control_if_else"),
+        MutationSpec(MutationKind.MISSING_BLOCK, MOVE, seed=1),
+        MutationSpec(MutationKind.WRONG_ORDER, "control_if_else"),
+        MutationSpec(MutationKind.EXTRA_BLOCK, "looks_say", "control_stop"),
+        MutationSpec(MutationKind.EXTRA_BLOCK, "procedures_call", "motion_turnright"),
+    ]
+    assert {m.kind for m in mutations} == set(MutationKind)
+    generate_corpus(reference, 3, mutations, tmp_path)
+    assert len(_assert_shared_exactly_by_shape(load_dataset(tmp_path))) == 33
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.lists(_SCRIPTS, min_size=1, max_size=3), min_size=1, max_size=3),
+    st.lists(st.integers(min_value=0, max_value=2), max_size=4),
+)
+def test_memo_matches_the_per_script_path_on_random_classrooms(students, copies):
+    projects = [build_project(f"s{i}", [("Cat", scripts)]) for i, scripts in enumerate(students)]
+    for k, original in enumerate(copies):
+        source = projects[original % len(students)]
+        copy = _relabelled(source, f"c{k}", 40.0 * (k + 1))
+        assert _shapes([copy]) == _shapes([source])
+        projects.append(copy)
+    _assert_shared_exactly_by_shape(projects)
+
+
+def _fig_with(condition=("sensing_keypressed", {"KEY_OPTION": "sensing_keyoptions"}), move=MOVE):
+    return ["event_whenflagclicked", ("control_forever", [
+        {"opcode": IF, "reporters": {"CONDITION": condition}, "body": [move]},
+    ])]
+
+
+def test_scripts_differing_only_outside_the_block_structure_share_one_entry(builds):
+    fig = build_project("fig", [("Cat", [FIG_SCRIPT])])
+    variants = [
+        fig,
+        _relabelled(fig, "moved", 123.5),
+        # another reporter in the condition
+        build_project("touching", [("Cat", [_fig_with(("sensing_touchingobject", {
+            "TOUCHINGOBJECTMENU": "sensing_touchingobjectmenu"}))])]),
+        # a reporter and a shadow block plugged into the move block
+        build_project("inputs", [("Cat", [_fig_with(move={
+            "opcode": MOVE,
+            "reporters": {"STEPS": ("operator_add", ["math_number", "motion_xposition"])},
+        })])]),
+        build_project("shadow", [("Cat", [_fig_with(move={
+            "opcode": MOVE, "reporters": {"STEPS": {"opcode": "math_number", "shadow": True}},
+        })])]),
+    ]
+    sets = _assert_shared_exactly_by_shape(variants)
+    assert all(ps.properties is sets[0].properties for ps in sets)
+    assert sets[0].properties == FIG_PROPS
+    assert builds == {"build": 1, "props": 1}
+
+
+_HAT = "event_whenflagclicked"
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ([_HAT, MOVE], [_HAT, GOTO]),
+        ([_HAT, {"opcode": "procedures_call", "proccode": "jump %s"}],
+         [_HAT, {"opcode": "procedures_call", "proccode": "hop %s"}]),
+        ([_HAT, (IF, [MOVE])], [_HAT, (IF, []), MOVE]),
+        ([_HAT, ("control_if_else", [MOVE], [])], [_HAT, ("control_if_else", [], [MOVE])]),
+    ],
+    ids=["opcode", "proccode", "inside-or-after-if", "substack-or-substack2"],
+)
+def test_scripts_differing_in_block_structure_never_share_an_entry(builds, first, second):
+    projects = [build_project("a", [("Cat", [first])]), build_project("b", [("Cat", [second])])]
+    shape_a, shape_b = _shapes(projects)
+    assert shape_a != shape_b
+    _assert_shared_exactly_by_shape(projects)
+    assert builds == {"build": 2, "props": 2}
