@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidConfig
 from .ingest import ScriptSource
-from .mining import MiningConfig, Pattern, _as_fraction, mine_vocabulary
+from .mining import MiningConfig, Pattern, as_confidence, mine_vocabulary
 from .properties import PropertySet, TemporalProperty, Vocabulary, bits
 
 
@@ -334,10 +334,7 @@ def parameter_sweep(
     for s in supports:
         if isinstance(s, bool) or not isinstance(s, int) or s < 1:
             raise InvalidConfig(f"support values must be positive integers, got {s!r}")
-    confidences = [_as_fraction(c) for c in confidence_values]
-    for c in confidences:
-        if not 0 < c <= 1:
-            raise InvalidConfig(f"confidence values must lie in (0, 1], got {c}")
+    confidences = [as_confidence(c, "confidence value") for c in confidence_values]
 
     vocab = Vocabulary.of(property_sets)
     base = DeviationClasses(mine_vocabulary(vocab, min(supports)), vocab, fixed)

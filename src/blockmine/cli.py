@@ -33,7 +33,7 @@ from .errors import (
 )
 from .corpus import generate_corpus, load_corpus_spec
 from .ingest import load_dataset, load_project
-from .mining import MiningConfig, PRESETS
+from .mining import MiningConfig, PRESETS, as_confidence
 from .report import (
     AnomalyReport,
     analyze_dataset,
@@ -61,8 +61,9 @@ def _supports(text: str) -> list[int]:
 
 
 def _confidences(text: str) -> list[Fraction]:
-    values = [Fraction(part.strip()) for part in text.split(",") if part.strip()]
-    if not values or not all(0 < c <= 1 for c in values):
+    values = [as_confidence(part.strip(), "confidence") for part in text.split(",")
+              if part.strip()]
+    if not values:
         raise ValueError("expected comma-separated numbers in (0, 1]")
     return values
 
@@ -153,7 +154,7 @@ def _resolve(args: argparse.Namespace, command: _Command) -> None:
         if isinstance(value, str):
             try:
                 value = option.parse(value)
-            except (ValueError, ZeroDivisionError) as exc:
+            except (ValueError, ZeroDivisionError, InvalidConfig) as exc:
                 raise InvalidConfig(f"bad {source}={value!r}: {exc}") from exc
         if option.choices and value is not None and value not in option.choices:
             raise InvalidConfig(

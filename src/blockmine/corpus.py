@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .blocks import is_menu_opcode
 from .errors import InvalidConfig, OutputUnwritable
-from .ingest import Actor, RawBlock, RawProject
+from .ingest import Actor, RawBlock, RawProject, canvas_roots
 
 # Fixed zip metadata so archive bytes do not depend on the clock.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
@@ -429,13 +429,9 @@ def apply_mutation(project: RawProject, spec: MutationSpec) -> RawProject:
     actors = list(project.actors)
     actor = actors[actor_index]
     new_blocks = _mutate_actor_blocks(actor, target, spec)
-    roots = tuple(
-        b.id
-        for b in sorted(new_blocks.values(), key=lambda b: (b.y, b.x, b.id))
-        if b.is_top_level and not b.is_shadow
-    )
     actors[actor_index] = Actor(
-        name=actor.name, is_stage=actor.is_stage, blocks=new_blocks, script_roots=roots
+        name=actor.name, is_stage=actor.is_stage, blocks=new_blocks,
+        script_roots=canvas_roots(new_blocks.values()),
     )
     return RawProject(
         project_id=project.project_id, actors=tuple(actors), warnings=project.warnings
@@ -501,8 +497,11 @@ def load_corpus_spec(path: str | Path) -> CorpusSpec:
     # bool is a subclass of int, but true is not a count or a seed.
     if isinstance(n_correct, bool) or not isinstance(n_correct, int) or n_correct < 0:
         raise InvalidConfig(f"{p}: n_correct must be a nonnegative integer")
+    raw_mutations = doc.get("mutations", [])
+    if not isinstance(raw_mutations, list):
+        raise InvalidConfig(f"{p}: mutations must be a list of objects")
     mutations = []
-    for i, m in enumerate(doc.get("mutations", ())):
+    for i, m in enumerate(raw_mutations):
         if not isinstance(m, dict):
             raise InvalidConfig(f"{p}: mutation {i} is not an object")
         kind_name = str(m.get("kind", "")).replace("_", "-")

@@ -18,9 +18,9 @@ import zipfile
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
-from .blocks import BlockKind, classify_opcode
+from .blocks import PROCEDURE_OPCODES, BlockKind, classify_opcode
 from .errors import ArchiveUnreadable, DatasetEmpty, MalformedProject
 
 log = logging.getLogger("blockmine")
@@ -270,47 +270,75 @@ def _parse_target(target: dict, warnings: list[str]) -> Actor:
                     resolved[block_id] = replace(block, proccode=proto.proccode)
                     break
 
-    roots = tuple(
-        b.id
-        for b in _canonical_root_order(resolved.values())
-        if b.is_top_level and not b.is_shadow
-    )
-    return Actor(name=name, is_stage=is_stage, blocks=resolved, script_roots=roots)
+    return Actor(name=name, is_stage=is_stage, blocks=resolved,
+                 script_roots=canvas_roots(resolved.values()))
 
 
-def _canonical_root_order(blocks: Iterable[RawBlock]) -> list[RawBlock]:
-    """Reading order on the canvas: top to bottom, left to right, then id."""
-    return sorted(blocks, key=lambda b: (b.y, b.x, b.id))
+def canvas_roots(blocks: Iterable[RawBlock]) -> tuple[str, ...]:
+    """The ids of the top-level stacks in canvas reading order: top to
+    bottom, left to right, then id. A shadow block starts no stack."""
+    tops = [b for b in blocks if b.is_top_level and not b.is_shadow]
+    return tuple(b.id for b in sorted(tops, key=lambda b: (b.y, b.x, b.id)))
 
 
-# Deepest substack nesting a script may have. The model builder and the
-# stack walkers recurse once per level, and Python stops them at about
-# 1000 frames; no hand-built script comes near this depth.
+# Deepest substack nesting a script may have. The model builder recurses
+# once per level, and Python stops it at about 1000 frames; no script made
+# in the Scratch editor comes near this depth.
 MAX_NESTING = 500
 
+# One command block as the model builder reads it: opcode, label detail (the
+# proccode of a procedure block, else ""), and one entry per substack slot:
+# the index of that slot's chain in the shape, or None for an empty slot.
+ShapeBlock = tuple[str, str, tuple[int | None, ...]]
+# The command chains of a stack; chain 0 is the stack itself.
+Shape = tuple[tuple[ShapeBlock, ...], ...]
 
-def _script_fault(actor: Actor, root_id: str) -> str | None:
-    """Why the stack at root_id cannot be modelled, or None.
 
-    In a well-formed stack every block has one parent; a block reached
-    twice, through next or a substack, is a reference cycle, and a model
-    of it would never end. Substacks nested deeper than MAX_NESTING would
-    exhaust the recursion of the walkers.
+def stack_shape(actor: Actor, root_id: str) -> Shape:
+    """The block structure of the stack at root_id, checked as it is walked.
+
+    This is the one walk over a stack's blocks: load_project checks every
+    stack with it, script_shapes keeps the stacks whose shape holds a
+    block, and the model builder reads nothing else. Chains are numbered in
+    breadth-first order from the stack itself, and each block names its
+    substacks by chain number, so equal block structures give equal shapes.
+    Reporter blocks are left out of their chain; a substack hung under one
+    (Scratch never writes it) is still walked and kept as a chain, but no
+    slot names it. Block ids, canvas coordinates and what is plugged into
+    value inputs are left out. The tuple nests to a fixed depth however
+    deep the stack is, so comparing two shapes never recurses once per
+    level. A reference to a missing block ends its chain.
+
+    Raises MalformedProject when the walk reaches a block twice, through
+    next or a substack: in a well-formed stack every block has one parent,
+    and a model of a reference cycle would never end. Also raises it when
+    substacks nest deeper than MAX_NESTING.
     """
     seen: set[str] = set()
-    pending: list[tuple[str, int]] = [(root_id, 0)]
-    while pending:
-        block_id, depth = pending.pop()
+    pending: list[tuple[str, int]] = [(root_id, 0)]  # chain roots and their depths
+    chains: list[tuple[ShapeBlock, ...]] = []
+    for block_id, depth in pending:  # pending grows as substacks are found
         if depth > MAX_NESTING:
-            return f"nests substacks deeper than {MAX_NESTING} levels"
-        while block_id is not None:
+            raise MalformedProject(f"nests substacks deeper than {MAX_NESTING} levels")
+        chain: list[ShapeBlock] = []
+        while block_id is not None and block_id in actor.blocks:
             if block_id in seen:
-                return f"reaches block {block_id!r} twice"
+                raise MalformedProject(f"reaches block {block_id!r} twice")
             seen.add(block_id)
-            block = actor.blocks[block_id]  # references were resolved on parse
-            pending.extend((sub, depth + 1) for sub in block.substacks if sub is not None)
+            block = actor.blocks[block_id]
+            slots: list[int | None] = []
+            for sub in block.substacks:
+                if sub is None:
+                    slots.append(None)
+                else:
+                    slots.append(len(pending))
+                    pending.append((sub, depth + 1))
+            if classify_opcode(block.opcode) is not BlockKind.REPORTER:
+                detail = block.proccode if block.opcode in PROCEDURE_OPCODES else ""
+                chain.append((block.opcode, detail, tuple(slots)))
             block_id = block.next
-    return None
+        chains.append(tuple(chain))
+    return tuple(chains)
 
 
 def load_project(path: str | Path) -> RawProject:
@@ -338,9 +366,11 @@ def load_project(path: str | Path) -> RawProject:
             continue
         actor = _parse_target(target, warnings)
         for root_id in actor.script_roots:
-            fault = _script_fault(actor, root_id)
-            if fault is not None:
-                raise MalformedProject(f"{p.name}: {actor.name}: script {root_id!r} {fault}")
+            try:
+                stack_shape(actor, root_id)
+            except MalformedProject as exc:
+                reason = f"{p.name}: {actor.name}: script {root_id!r} {exc}"
+                raise MalformedProject(reason) from None
         actors.append(actor)
 
     # Duplicate actor names would break script provenance; disambiguate.
@@ -399,76 +429,26 @@ def load_dataset(directory: str | Path) -> list[RawProject]:
     return projects
 
 
-def _effective_kind(block: RawBlock) -> BlockKind:
-    """Kind as it behaves in a command slot: unknown opcodes act as commands."""
-    kind = classify_opcode(block.opcode)
-    if kind is BlockKind.UNKNOWN:
-        return BlockKind.COMMAND
-    return kind
+def script_shapes(project: RawProject) -> list[tuple[ScriptSource, Shape]]:
+    """The scripts of a project, each with its stack_shape.
 
-
-def iter_stack_blocks(actor: Actor, root_id: str) -> Iterator[RawBlock]:
-    """All blocks of the stack rooted at root_id: next-chains plus substacks.
-
-    Blocks plugged into value inputs are not part of the stack. Guarded
-    against reference cycles in malformed files.
+    A script is a top-level stack whose shape holds a block: at least one
+    block in a command slot (unknown opcodes count as commands). A stack
+    that is a lone dangling reporter is not a script. Order: actors as
+    stored, roots in canvas reading order; script indices count per actor.
     """
-    seen: set[str] = set()
-
-    def _walk(block_id: str | None) -> Iterator[RawBlock]:
-        while block_id is not None and block_id not in seen:
-            seen.add(block_id)
-            block = actor.blocks.get(block_id)
-            if block is None:
-                return
-            yield block
-            for sub in block.substacks:
-                if sub is not None:
-                    yield from _walk(sub)
-            block_id = block.next
-
-    return _walk(root_id)
-
-
-def stack_chain(actor: Actor, root_id: str) -> list[RawBlock]:
-    """The linear next-chain from a root (no substack descent), cycle-guarded."""
-    chain: list[RawBlock] = []
-    seen: set[str] = set()
-    block_id: str | None = root_id
-    while block_id is not None and block_id not in seen:
-        seen.add(block_id)
-        block = actor.blocks.get(block_id)
-        if block is None:
-            break
-        chain.append(block)
-        block_id = block.next
-    return chain
-
-
-def enumerate_scripts(project: RawProject) -> list[ScriptSource]:
-    """Deterministically list the scripts of a project.
-
-    One entry per top-level stack that contains at least one block in a
-    command slot; stacks that are a lone dangling reporter are not scripts.
-    Order: actors as stored, roots in canvas reading order.
-    """
-    sources: list[ScriptSource] = []
+    pairs: list[tuple[ScriptSource, Shape]] = []
     for actor in project.actors:
         index = 0
         for root_id in actor.script_roots:
-            has_command = any(
-                _effective_kind(b) is not BlockKind.REPORTER
-                for b in iter_stack_blocks(actor, root_id)
-            )
-            if not has_command:
-                continue
-            sources.append(
-                ScriptSource(
-                    project_id=project.project_id,
-                    actor_name=actor.name,
-                    script_index=index,
-                    root_block=root_id,
-                )
-            )
-            index += 1
-    return sources
+            shape = stack_shape(actor, root_id)
+            if any(shape):
+                source = ScriptSource(project.project_id, actor.name, index, root_id)
+                pairs.append((source, shape))
+                index += 1
+    return pairs
+
+
+def enumerate_scripts(project: RawProject) -> list[ScriptSource]:
+    """The scripts of a project, as script_shapes finds and orders them."""
+    return [script for script, _ in script_shapes(project)]

@@ -20,14 +20,22 @@ from .ingest import ScriptSource
 from .properties import PropertySet, TemporalProperty, Vocabulary, bits
 
 
-def _as_fraction(value: Fraction | float | int | str) -> Fraction:
-    """Exact rational from user input; floats go through their decimal text
-    so that 0.9 means nine tenths, not the nearest binary double."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+def as_confidence(value: object, name: str) -> Fraction:
+    """`value` as an exact confidence: a number in (0, 1], not a bool.
+
+    Floats go through their decimal text, so that 0.9 means nine tenths,
+    not the nearest binary double. Raises InvalidConfig naming `name`.
+    """
+    # bool is a subclass of int, but True is not the confidence 1.
+    if isinstance(value, bool):
+        raise InvalidConfig(f"{name} is not a number: {value!r}")
+    try:
+        confidence = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise InvalidConfig(f"{name} is not a number: {value!r}") from exc
+    if not 0 < confidence <= 1:
+        raise InvalidConfig(f"{name} must lie in (0, 1], got {confidence}")
+    return confidence
 
 
 @dataclass(frozen=True)
@@ -45,12 +53,7 @@ class MiningConfig:
             # bool is a subclass of int, but True is not a count.
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
-        try:
-            confidence = _as_fraction(self.min_confidence)
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise InvalidConfig(f"min_confidence is not a number: {self.min_confidence!r}") from exc
-        if not 0 < confidence <= 1:
-            raise InvalidConfig(f"min_confidence must lie in (0, 1], got {confidence}")
+        confidence = as_confidence(self.min_confidence, "min_confidence")
         object.__setattr__(self, "min_confidence", confidence)
 
 

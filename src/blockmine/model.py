@@ -13,10 +13,10 @@ eliminate_epsilon is the identity on freshly built models.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
-from .blocks import BlockKind, BlockLabel, PROCEDURE_OPCODES, classify_opcode
-from .ingest import RawProject, ScriptSource, stack_chain
+from .blocks import BlockKind, BlockLabel, classify_opcode
+from .ingest import RawProject, ScriptSource, Shape, ShapeBlock, stack_shape
 
 # (source location, block label or None for epsilon, target location)
 Transition = tuple[int, BlockLabel | None, int]
@@ -85,43 +85,9 @@ class _Continuation:
         return self._value
 
 
-# One command block as the builder reads it: opcode, label detail (the
-# proccode of a procedure block, else ""), and one entry per substack slot:
-# the index of that slot's chain in the shape, or None for an empty slot.
-ShapeBlock = tuple[str, str, tuple[int | None, ...]]
-# The command chains of a script; chain 0 is the top-level stack.
-Shape = tuple[tuple[ShapeBlock, ...], ...]
-
-
 def script_shape(script: ScriptSource, project: RawProject) -> Shape:
-    """Everything build_script_model reads from a script, as a flat tuple.
-
-    Chains are numbered in breadth-first order from the top-level stack, and
-    each block names its substacks by chain number, so equal block
-    structures give equal shapes. Block ids, canvas coordinates and what is
-    plugged into value inputs (reporters and their shadows) are left out.
-    The tuple nests to a fixed depth however deep the script is, so
-    comparing two shapes never recurses once per substack level.
-    """
-    actor = project.actor(script.actor_name)
-    roots: list[str] = [script.root_block]
-    chains: list[tuple[ShapeBlock, ...]] = []
-    for root_id in roots:  # roots grows as substacks are found
-        blocks: list[ShapeBlock] = []
-        for block in stack_chain(actor, root_id):
-            if classify_opcode(block.opcode) is BlockKind.REPORTER:
-                continue
-            slots: list[int | None] = []
-            for sub in block.substacks:
-                if sub is None:
-                    slots.append(None)
-                else:
-                    slots.append(len(roots))
-                    roots.append(sub)
-            detail = block.proccode if block.opcode in PROCEDURE_OPCODES else ""
-            blocks.append((block.opcode, detail, tuple(slots)))
-        chains.append(tuple(blocks))
-    return tuple(chains)
+    """Everything build_script_model reads from a script: its stack_shape."""
+    return stack_shape(project.actor(script.actor_name), script.root_block)
 
 
 def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel:
@@ -261,23 +227,16 @@ def _canonical(
     )
 
 
-def _epsilon_closures(model: ScriptModel) -> dict[int, frozenset[int]]:
-    eps: dict[int, set[int]] = {}
-    for src, label, dst in model.transitions:
-        if label is None:
-            eps.setdefault(src, set()).add(dst)
-    closures: dict[int, frozenset[int]] = {}
-    for loc in model.locations:
-        seen = {loc}
-        frontier = [loc]
-        while frontier:
-            node = frontier.pop()
-            for nxt in eps.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        closures[loc] = frozenset(seen)
-    return closures
+def reach_from(start: int, successors: Mapping[int, Iterable[int]]) -> frozenset[int]:
+    """`start` and every location reachable from it along `successors`."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        for nxt in successors.get(frontier.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
 
 
 def eliminate_epsilon(model: ScriptModel) -> ScriptModel:
@@ -289,11 +248,14 @@ def eliminate_epsilon(model: ScriptModel) -> ScriptModel:
     are dropped and locations unreachable from the entry are pruned.
     Idempotent, and the identity (up to renumbering) on epsilon-free input.
     """
-    closures = _epsilon_closures(model)
+    eps: dict[int, set[int]] = {}
     labeled_by_source: dict[int, list[Transition]] = {}
     for t in model.transitions:
-        if t[1] is not None:
+        if t[1] is None:
+            eps.setdefault(t[0], set()).add(t[2])
+        else:
             labeled_by_source.setdefault(t[0], []).append(t)
+    closures = {loc: reach_from(loc, eps) for loc in model.locations}
 
     new_transitions: set[Transition] = set()
     for loc in model.locations:
@@ -306,14 +268,7 @@ def eliminate_epsilon(model: ScriptModel) -> ScriptModel:
     adjacency: dict[int, set[int]] = {}
     for src, _, dst in new_transitions:
         adjacency.setdefault(src, set()).add(dst)
-    reachable = {model.entry}
-    frontier = [model.entry]
-    while frontier:
-        node = frontier.pop()
-        for nxt in adjacency.get(node, ()):
-            if nxt not in reachable:
-                reachable.add(nxt)
-                frontier.append(nxt)
+    reachable = reach_from(model.entry, adjacency)
 
     return _canonical(
         model.entry,
@@ -356,22 +311,23 @@ def model_to_dot(model: ScriptModel, title: str | None = None) -> str:
     """Render a model in Graphviz DOT: circles for locations, double circles
     for exits, an unlabeled arrow into the entry."""
     name = title or (model.source.ident if model.source else "script model")
-    lines = [f"digraph {_dot_quote(name)} {{"]
+    lines = [f"digraph {dot_quote(name)} {{"]
     lines.append("  rankdir=TB;")
     lines.append('  node [shape=circle, fontname="Helvetica"];')
     lines.append('  __start [shape=none, label="", width=0, height=0];')
     for loc in sorted(model.locations):
         shape = "doublecircle" if loc in model.exits else "circle"
-        lines.append(f"  l{loc} [shape={shape}, label={_dot_quote(f'l{loc}')}];")
+        lines.append(f"  l{loc} [shape={shape}, label={dot_quote(f'l{loc}')}];")
     lines.append(f"  __start -> l{model.entry};")
     for src, label, dst in model.sorted_transitions():
         text = "ε" if label is None else label.display
-        lines.append(f"  l{src} -> l{dst} [label={_dot_quote(text)}];")
+        lines.append(f"  l{src} -> l{dst} [label={dot_quote(text)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _dot_quote(text: str) -> str:
+def dot_quote(text: str) -> str:
+    """A DOT string literal."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 

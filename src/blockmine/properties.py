@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .blocks import BlockLabel
 from .ingest import ScriptSource
-from .model import ScriptModel
+from .model import ScriptModel, dot_quote, reach_from
 
 
 @dataclass(frozen=True, order=True)
@@ -108,18 +108,7 @@ def reachability(model: ScriptModel) -> dict[int, frozenset[int]]:
     adjacency: dict[int, set[int]] = {}
     for src, _, dst in model.transitions:
         adjacency.setdefault(src, set()).add(dst)
-    reach: dict[int, frozenset[int]] = {}
-    for loc in model.locations:
-        seen = {loc}
-        frontier = [loc]
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reach[loc] = frozenset(seen)
-    return reach
+    return {loc: reach_from(loc, adjacency) for loc in model.locations}
 
 
 def props(model: ScriptModel) -> PropertySet:
@@ -179,11 +168,11 @@ def properties_to_dot(
         safe = "".join(c if c.isalnum() else "_" for c in label.key())
         return f"b_{safe}"
 
-    lines = [f"digraph {_quote(title)} {{"]
+    lines = [f"digraph {dot_quote(title)} {{"]
     lines.append("  rankdir=LR;")
     lines.append('  node [shape=box, style=rounded, fontname="Helvetica"];')
     for label in sorted(all_labels):
-        attrs = f"label={_quote(label.display)}"
+        attrs = f"label={dot_quote(label.display)}"
         if label not in present_labels:
             attrs += ', color="red", fontcolor="red", style="rounded,dotted"'
         lines.append(f"  {node_id(label)} [{attrs}];")
@@ -194,10 +183,6 @@ def properties_to_dot(
         lines.append(f"  {node_id(p.first)} -> {node_id(p.second)}{attrs};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def property_to_document(prop: TemporalProperty) -> dict:

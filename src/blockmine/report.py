@@ -11,28 +11,19 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import __version__
 from .anomalies import Anomaly, DeviationClasses, SweepCell, Violation
 from .blocks import table_version
-from .ingest import RawProject, ScriptSource, enumerate_scripts
+from .ingest import RawProject, ScriptSource, Shape, script_shapes
 from .mining import MiningConfig, Pattern, mine_vocabulary
-from .model import (
-    ScriptModel,
-    Shape,
-    build_script_model,
-    build_shape_model,
-    model_to_document,
-    model_to_dot,
-    script_shape,
-)
+from .model import ScriptModel, build_shape_model, model_to_document, model_to_dot
 from .properties import (
     PropertySet,
-    TemporalProperty,
     Vocabulary,
     properties_to_dot,
     property_to_document,
@@ -41,38 +32,50 @@ from .properties import (
 )
 
 
+T = TypeVar("T")
+
+
+def _per_shape(
+    projects: Iterable[RawProject], derive: Callable[[Shape], T]
+) -> Iterator[tuple[ScriptSource, T]]:
+    """(script, derive(shape)) for every script, in dataset order, with
+    derive called once per distinct script shape."""
+    known: dict[Shape, T] = {}
+    for project in projects:
+        for script, shape in script_shapes(project):
+            value = known.get(shape)
+            if value is None:
+                value = known[shape] = derive(shape)
+            yield script, value
+
+
 def extract_models(projects: Sequence[RawProject]) -> list[ScriptModel]:
     """One model per script, in dataset order.
 
-    The builder wires join points directly, so its models are already
-    epsilon-free and need no elimination pass. Extraction runs serially:
-    the work is pure Python and holds the interpreter lock.
+    Each distinct script shape (the block structure a model is built from)
+    is modelled once, and the scripts of one shape get copies of that
+    model carrying their own source. The builder wires join points
+    directly, so its models are already epsilon-free.
     """
     return [
-        build_script_model(script, project)
-        for project in projects
-        for script in enumerate_scripts(project)
+        replace(model, source=script)
+        for script, model in _per_shape(projects, build_shape_model)
     ]
 
 
 def extract_property_sets(projects: Sequence[RawProject]) -> list[PropertySet]:
     """One property set per script, in dataset order.
 
-    Each distinct script shape (the block structure a model is built from)
-    is modelled once, and its properties are taken once: the scripts of one
-    shape share one frozenset of properties. Each model is freed as soon as
-    its properties are taken.
+    Each distinct script shape is modelled once, and its properties are
+    taken once: the scripts of one shape share one frozenset of
+    properties. Each model is freed as soon as its properties are taken.
     """
-    known: dict[Shape, frozenset[TemporalProperty]] = {}
-    property_sets = []
-    for project in projects:
-        for script in enumerate_scripts(project):
-            shape = script_shape(script, project)
-            properties = known.get(shape)
-            if properties is None:
-                properties = known[shape] = props(build_shape_model(shape)).properties
-            property_sets.append(PropertySet(script, properties))
-    return property_sets
+    return [
+        PropertySet(script, properties)
+        for script, properties in _per_shape(
+            projects, lambda shape: props(build_shape_model(shape)).properties
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from pathlib import Path
+from typing import Iterator, Sequence
 
 from blockmine import (
+    Actor,
     Anomaly,
     BlockLabel,
     MiningConfig,
@@ -28,6 +30,10 @@ from blockmine import (
     enumerate_scripts,
     props,
 )
+from blockmine import ingest
+from blockmine.blocks import PROCEDURE_OPCODES, BlockKind, classify_opcode
+from blockmine.errors import MalformedProject
+from blockmine.ingest import MAX_NESTING, RawBlock
 
 
 def brute_force_closed(
@@ -56,11 +62,150 @@ def brute_force_closed(
 
 def per_script_property_sets(projects: Sequence[RawProject]) -> list[PropertySet]:
     """One model and one props call per script, nothing shared."""
+    return [props(model) for model in per_script_models(projects)]
+
+
+def per_script_models(projects: Sequence[RawProject]) -> list[ScriptModel]:
+    """One build_script_model call per script, nothing shared."""
     return [
-        props(build_script_model(script, project))
+        build_script_model(script, project)
         for project in projects
         for script in enumerate_scripts(project)
     ]
+
+
+# The stack walks as they were before one shape walk served load, script
+# enumeration and model keys: three walkers, each with its own guard.
+
+
+def naive_script_fault(actor: Actor, root_id: str) -> str | None:
+    """Why the stack at root_id cannot be modelled (a block reached twice,
+    or substacks nested deeper than MAX_NESTING), or None."""
+    seen: set[str] = set()
+    pending: list[tuple[str, int]] = [(root_id, 0)]
+    while pending:
+        block_id, depth = pending.pop()
+        if depth > MAX_NESTING:
+            return f"nests substacks deeper than {MAX_NESTING} levels"
+        while block_id is not None:
+            if block_id in seen:
+                return f"reaches block {block_id!r} twice"
+            seen.add(block_id)
+            block = actor.blocks[block_id]
+            pending.extend((sub, depth + 1) for sub in block.substacks if sub is not None)
+            block_id = block.next
+    return None
+
+
+def naive_load_project(path: Path) -> RawProject:
+    """load_project with roots sorted over every block before the top-level
+    ones are picked, and each stack checked by naive_script_fault."""
+    doc = ingest._project_document(path.read_bytes(), path)
+    warnings: list[str] = []
+    actors: list[Actor] = []
+    for target in doc["targets"]:
+        if not isinstance(target, dict):
+            warnings.append("dropped non-object target entry")
+            continue
+        actor = ingest._parse_target(target, warnings)
+        roots = tuple(
+            b.id
+            for b in sorted(actor.blocks.values(), key=lambda b: (b.y, b.x, b.id))
+            if b.is_top_level and not b.is_shadow
+        )
+        for root_id in roots:
+            fault = naive_script_fault(actor, root_id)
+            if fault is not None:
+                raise MalformedProject(f"{path.name}: {actor.name}: script {root_id!r} {fault}")
+        actors.append(replace(actor, script_roots=roots))
+    seen: dict[str, int] = {}
+    for i, actor in enumerate(actors):
+        n = seen.get(actor.name, 0)
+        seen[actor.name] = n + 1
+        if n:
+            new_name = f"{actor.name}#{n + 1}"
+            warnings.append(f"duplicate actor name {actor.name!r} renamed {new_name!r}")
+            actors[i] = replace(actor, name=new_name)
+    stages = sum(1 for a in actors if a.is_stage)
+    if stages != 1:
+        warnings.append(f"expected exactly one stage target, found {stages}")
+    return RawProject(project_id=path.stem, actors=tuple(actors), warnings=tuple(warnings))
+
+
+def _naive_stack_blocks(actor: Actor, root_id: str) -> Iterator[RawBlock]:
+    """All blocks of a stack, next-chains and substacks, each once."""
+    seen: set[str] = set()
+
+    def walk(block_id: str | None) -> Iterator[RawBlock]:
+        while block_id is not None and block_id not in seen:
+            seen.add(block_id)
+            block = actor.blocks.get(block_id)
+            if block is None:
+                return
+            yield block
+            for sub in block.substacks:
+                if sub is not None:
+                    yield from walk(sub)
+            block_id = block.next
+
+    return walk(root_id)
+
+
+def naive_enumerate_scripts(project: RawProject) -> list[ScriptSource]:
+    """One script per top-level stack holding a block that is not a
+    reporter (unknown opcodes count as commands)."""
+    sources: list[ScriptSource] = []
+    for actor in project.actors:
+        index = 0
+        for root_id in actor.script_roots:
+            if all(
+                classify_opcode(b.opcode) is BlockKind.REPORTER
+                for b in _naive_stack_blocks(actor, root_id)
+            ):
+                continue
+            sources.append(ScriptSource(project.project_id, actor.name, index, root_id))
+            index += 1
+    return sources
+
+
+def _naive_chain(actor: Actor, root_id: str) -> list[RawBlock]:
+    """The next-chain from a block, with no substack descent."""
+    chain: list[RawBlock] = []
+    seen: set[str] = set()
+    block_id: str | None = root_id
+    while block_id is not None and block_id not in seen:
+        seen.add(block_id)
+        block = actor.blocks.get(block_id)
+        if block is None:
+            break
+        chain.append(block)
+        block_id = block.next
+    return chain
+
+
+def naive_script_shape(script: ScriptSource, project: RawProject) -> tuple:
+    """A script's command chains in breadth-first order, each block as
+    (opcode, detail, substack chain numbers); reporters and their
+    substacks are left out."""
+    actor = project.actor(script.actor_name)
+    roots: list[str] = [script.root_block]
+    chains: list[tuple] = []
+    for root_id in roots:
+        blocks = []
+        for block in _naive_chain(actor, root_id):
+            if classify_opcode(block.opcode) is BlockKind.REPORTER:
+                continue
+            slots: list[int | None] = []
+            for sub in block.substacks:
+                if sub is None:
+                    slots.append(None)
+                else:
+                    slots.append(len(roots))
+                    roots.append(sub)
+            detail = block.proccode if block.opcode in PROCEDURE_OPCODES else ""
+            blocks.append((block.opcode, detail, tuple(slots)))
+        chains.append(tuple(blocks))
+    return tuple(chains)
 
 
 def confidence(violation: Violation, all_violations: Sequence[Violation]) -> Fraction:

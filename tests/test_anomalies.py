@@ -258,8 +258,9 @@ def test_sweep_rejects_bad_grids():
         parameter_sweep(sets, [0], ["0.5"])
     with pytest.raises(InvalidConfig):
         parameter_sweep(sets, [True], ["0.5"])
-    with pytest.raises(InvalidConfig):
-        parameter_sweep(sets, [1], ["2.0"])
+    for confidence in ["2.0", "abc", None, True, 0, float("nan")]:
+        with pytest.raises(InvalidConfig, match="confidence"):
+            parameter_sweep(sets, [1], [confidence])
 
 
 def _synthetic_sets(counts):

@@ -288,6 +288,11 @@ def test_corpus_spec_errors(tmp_path):
     }))
     with pytest.raises(InvalidConfig):
         load_corpus_spec(unknown_kind)
+    for mutations in (5, None):
+        not_a_list = tmp_path / "not-a-list.json"
+        not_a_list.write_text(json.dumps({"reference": "r.sb3", "mutations": mutations}))
+        with pytest.raises(InvalidConfig, match="mutations must be a list"):
+            load_corpus_spec(not_a_list)
 
 
 @pytest.mark.parametrize(

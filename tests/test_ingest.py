@@ -6,9 +6,11 @@ import copy
 import io
 import json
 import random
+import signal
 import struct
 import tempfile
 import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -20,21 +22,31 @@ from blockmine import (
     BlockmineError,
     DatasetEmpty,
     MalformedProject,
+    RawProject,
     build_project,
+    build_script_model,
     enumerate_scripts,
+    extract_models,
     extract_property_sets,
     load_dataset,
     load_project,
     project_payload,
     project_to_document,
+    props,
     scan_dataset,
     write_project_archive,
 )
 from blockmine import ingest
 from blockmine.cli import main
 from blockmine.ingest import MAX_NESTING
+from blockmine.model import build_shape_model
 from conftest import FIG_BUGGY_SCRIPT, FIG_PROPS, FIG_SCRIPT, write_classroom
-from oracles import per_script_property_sets
+from oracles import (
+    naive_enumerate_scripts,
+    naive_load_project,
+    naive_script_shape,
+    per_script_property_sets,
+)
 
 
 def _write_json_project(path, doc):
@@ -503,6 +515,44 @@ def test_nesting_up_to_the_limit_is_modelled(tmp_path, depth):
     assert ("control_if", "control_if") in names
 
 
+def _hand_built(doc: dict) -> RawProject:
+    """The project of a document, built without load_project, so none of
+    its stack checks ran."""
+    return RawProject("hand", tuple(ingest._parse_target(t, []) for t in doc["targets"]))
+
+
+def test_hand_built_nesting_has_the_bound_of_a_loaded_one(tmp_path):
+    loaded = load_project(_write_json_project(tmp_path / "deep.json", _nested_ifs(MAX_NESTING)))
+    (expected,) = extract_property_sets([loaded])
+    (modelled,) = extract_property_sets([_hand_built(_nested_ifs(MAX_NESTING))])
+    assert modelled.properties == expected.properties
+    with pytest.raises(MalformedProject, match="deeper than"):
+        extract_property_sets([_hand_built(_nested_ifs(MAX_NESTING + 1))])
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Fail with TimeoutError when the block runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_hand_built_substack_cycle_raises_instead_of_hanging():
+    project = _hand_built(_cyclic(_if_body_is_the_forever))
+    # A walk without one visited set for the whole stack never returns here.
+    with _deadline(2), pytest.raises(MalformedProject, match="reaches block 'b2' twice"):
+        extract_property_sets([project])
+
+
 def test_a_project_json_inflating_past_the_cap_skips_only_itself(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(ingest, "MAX_PROJECT_BYTES", 1 << 20)
     # valid JSON, so only its inflated size can reject it
@@ -530,6 +580,8 @@ _FUZZ_DOCUMENT = project_to_document(build_project("fuzz", [
         ["event_whenkeypressed",
          ("control_if_else", ["looks_say", "control_stop"], ["motion_turnright"]),
          ("control_repeat", [{"opcode": "procedures_call", "proccode": "jump %s"}])],
+        # a top-level reporter: edits can hang commands under its SUBSTACK
+        ["operator_add"],
     ]),
     ("Dog", [[{"opcode": "procedures_definition", "proccode": "jump %s"}, "motion_movesteps"]]),
 ]))
@@ -608,3 +660,26 @@ def test_fuzzed_documents_fail_only_as_skips(edits):
         assert extract_property_sets(projects) == per_script_property_sets(projects)
         out = Path(tmp) / "report.json"
         assert main(["mine", str(directory), "--min-support", "1", "--out", str(out)]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOCUMENT_EDITS)
+def test_the_shape_walk_matches_the_walkers_it_replaced(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_json_project(Path(tmp) / "fuzzed.json", _edited_document(edits))
+        try:
+            expected = naive_load_project(path)
+        except BlockmineError as exc:
+            with pytest.raises(type(exc)) as raised:
+                load_project(path)
+            # Same file, actor and stack; the walk order may name another block.
+            assert str(raised.value).partition("' ")[0] == str(exc).partition("' ")[0]
+            return
+        project = load_project(path)
+    assert project == expected
+    scripts = enumerate_scripts(project)
+    assert scripts == naive_enumerate_scripts(project)
+    models = [build_shape_model(naive_script_shape(s, project), s) for s in scripts]
+    assert [build_script_model(s, project) for s in scripts] == models
+    assert extract_models([project]) == models
+    assert extract_property_sets([project]) == [props(m) for m in models]

@@ -213,9 +213,12 @@ def test_config_validation():
         MiningConfig(min_confidence="nonsense")
 
 
-@pytest.mark.parametrize("field", ["min_support", "min_pattern_size", "max_deviation_level"])
+@pytest.mark.parametrize(
+    "field", ["min_support", "min_pattern_size", "max_deviation_level", "min_confidence"]
+)
 def test_config_rejects_booleans_as_counts(field):
-    # bool is a subclass of int; True must not pass as the count 1
+    # bool is a subclass of int; True must not pass as the count 1, nor
+    # as the confidence 1
     with pytest.raises(InvalidConfig, match=field):
         MiningConfig(**{field: True})
 

@@ -27,8 +27,11 @@ from blockmine import (
     sweep_to_document,
     extract_property_sets,
 )
+from blockmine import report
 from blockmine.cli import build_parser, main
+from blockmine.model import build_shape_model
 from conftest import FIG_SCRIPT, write_classroom
+from oracles import per_script_models
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +237,23 @@ def test_cli_extract_models(cli_classroom, tmp_path, capsys):
     assert len(list(out.glob("*.dot"))) == 31
     assert main(["extract-models", str(cli_classroom)]) == 1
     assert "needs --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["dot", "structured-text"])
+def test_extract_models_matches_the_per_script_path(cli_classroom, tmp_path, monkeypatch, fmt):
+    projects = load_dataset(cli_classroom)
+    per_script = per_script_models(projects)
+    shapes = []
+    monkeypatch.setattr(report, "build_shape_model",
+                        lambda shape: shapes.append(shape) or build_shape_model(shape))
+    assert extract_models(projects) == per_script  # sources included
+    assert len(shapes) == 2  # 30 clones and one buggy script, each shape modelled once
+
+    out = tmp_path / "models"
+    assert main(["extract-models", str(cli_classroom), "--format", fmt, "--out", str(out)]) == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    expected = model_artifacts(per_script, fmt=fmt)
+    assert written == {name: text.encode("utf-8") for name, text in expected}
 
 
 def test_cli_sweep_csv(cli_classroom, capsys):
