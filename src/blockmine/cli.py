@@ -32,7 +32,7 @@ from .errors import (
     OutputUnwritable,
 )
 from .corpus import generate_corpus, load_corpus_spec
-from .ingest import load_dataset, load_project
+from .ingest import iter_dataset, load_project
 from .mining import MiningConfig, PRESETS, as_confidence
 from .report import (
     AnomalyReport,
@@ -73,8 +73,9 @@ class _Option:
     """One flag `--<name>` with its fallback variable BLOCKMINE_<NAME>.
 
     `parse` turns text from the command line, the environment or `default`
-    into the value the commands read. An option with a `field` takes its
-    default from the preset, or else from MiningConfig().
+    into the value the commands read; a value below `minimum` is refused.
+    An option with a `field` takes its default from the preset, or else
+    from MiningConfig(), which checks the value itself.
     """
 
     name: str
@@ -84,6 +85,7 @@ class _Option:
     default: Any = None
     field: str | None = None
     choices: tuple[str, ...] = ()
+    minimum: int | None = None
 
     @property
     def flag(self) -> str:
@@ -111,8 +113,8 @@ _OPTIONS = {
         _Option("max_deviation", int, "largest deviation reported", "N",
                 field="max_deviation_level"),
         _Option("jobs", int, "accepted for compatibility; extraction is serial", "N",
-                default=1),
-        _Option("top", int, "how many anomalies to report", "N", default=10),
+                default=1, minimum=1),
+        _Option("top", int, "how many anomalies to report", "N", default=10, minimum=0),
         _Option("supports", _supports, "comma-separated supports", "LIST",
                 default="1,5,10,15,20"),
         _Option("confidences", _confidences, "comma-separated confidences", "LIST",
@@ -160,13 +162,15 @@ def _resolve(args: argparse.Namespace, command: _Command) -> None:
             raise InvalidConfig(
                 f"bad {source}={value!r}: expected one of {', '.join(option.choices)}"
             )
+        if option.minimum is not None and value < option.minimum:
+            raise InvalidConfig(
+                f"bad {source}={value!r}: {option.flag} must be >= {option.minimum}"
+            )
         setattr(args, option.name, value)
         if option.name == "preset" and value is not None:
             preset = PRESETS[value]
         if option.field:
             config[option.field] = value
-    if getattr(args, "jobs", 1) < 1:
-        raise InvalidConfig(f"--jobs must be >= 1, got {args.jobs}")
     args.config = MiningConfig(**config)
 
 
@@ -195,7 +199,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    stats = analyze_dataset(load_dataset(args.dataset), args.config).stats
+    stats = analyze_dataset(iter_dataset(args.dataset), args.config).stats
     if args.format == "json":
         _emit(args, document_to_json(stats_to_document(stats)))
     else:
@@ -206,7 +210,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_extract_models(args: argparse.Namespace) -> int:
     if args.out is None:
         raise InvalidConfig("extract-models needs --out DIRECTORY")
-    artifacts = model_artifacts(extract_models(load_dataset(args.dataset)), fmt=args.format)
+    artifacts = model_artifacts(extract_models(iter_dataset(args.dataset)), fmt=args.format)
     _write_artifacts(Path(args.out), artifacts)
     sys.stdout.write(f"wrote {len(artifacts)} model files to {args.out}\n")
     return 0
@@ -215,7 +219,7 @@ def cmd_extract_models(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     if args.format == "dot" and args.out is None:
         raise InvalidConfig("mine --format dot needs --out DIRECTORY")
-    result = analyze_dataset(load_dataset(args.dataset), args.config)
+    result = analyze_dataset(iter_dataset(args.dataset), args.config)
     report = AnomalyReport(dataset=str(args.dataset), config=args.config, result=result)
     if args.format == "text":
         _emit(args, report_to_text(report, top=args.top))
@@ -232,7 +236,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fixed = replace(
         args.config, min_support=min(args.supports), min_confidence=min(args.confidences)
     )
-    property_sets = extract_property_sets(load_dataset(args.dataset))
+    property_sets = extract_property_sets(iter_dataset(args.dataset))
     cells = parameter_sweep(property_sets, args.supports, args.confidences, fixed)
     if args.format == "csv":
         _emit(args, sweep_to_csv(cells))

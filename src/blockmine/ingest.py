@@ -18,7 +18,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .blocks import PROCEDURE_OPCODES, BlockKind, classify_opcode
 from .errors import ArchiveUnreadable, DatasetEmpty, MalformedProject
@@ -390,11 +390,19 @@ def load_project(path: str | Path) -> RawProject:
     return RawProject(project_id=p.stem, actors=tuple(actors), warnings=tuple(warnings))
 
 
-def scan_dataset(directory: str | Path) -> tuple[list[RawProject], list[SkipRecord]]:
-    """Load every archive in a directory; collect unreadable ones as skips.
+def iter_dataset(
+    directory: str | Path, skips: list[SkipRecord] | None = None
+) -> Iterator[RawProject]:
+    """Load the archives of a directory one at a time, in filename order.
 
-    Deterministic: archives are visited in filename order. Raises
-    DatasetEmpty when nothing at all can be loaded.
+    This is the one scan over a dataset: each project is parsed when the
+    caller asks for it, so a caller that keeps only what it derives from a
+    project holds one RawProject at a time. An archive that cannot be used
+    is logged, appended to `skips` when that list is given, and passed
+    over. Filename stems can collide across suffixes (a.sb3 and a.json):
+    the second project loaded with a stem is renamed `<stem>#2`, the third
+    `<stem>#3`. Raises DatasetEmpty, when iterated, for a path that is not
+    a directory, and after the last archive when none could be loaded.
     """
     d = Path(directory)
     if not d.is_dir():
@@ -402,31 +410,35 @@ def scan_dataset(directory: str | Path) -> tuple[list[RawProject], list[SkipReco
     candidates = sorted(
         f for f in d.iterdir() if f.is_file() and f.suffix.lower() in _ARCHIVE_SUFFIXES
     )
-    projects: list[RawProject] = []
-    skips: list[SkipRecord] = []
+    seen: dict[str, int] = {}
     for f in candidates:
         try:
-            projects.append(load_project(f))
+            project = load_project(f)
         except (ArchiveUnreadable, MalformedProject) as exc:
             log.warning("skipping %s: %s", f.name, exc)
-            skips.append(SkipRecord(path=f, reason=str(exc)))
-    if not projects:
-        raise DatasetEmpty(f"{d}: no loadable project archives")
-
-    # Filename stems can collide across suffixes (a.sb3 vs a.json).
-    seen: dict[str, int] = {}
-    for i, project in enumerate(projects):
+            if skips is not None:
+                skips.append(SkipRecord(path=f, reason=str(exc)))
+            continue
         n = seen.get(project.project_id, 0)
         seen[project.project_id] = n + 1
         if n:
-            projects[i] = replace(project, project_id=f"{project.project_id}#{n + 1}")
+            project = replace(project, project_id=f"{project.project_id}#{n + 1}")
+        yield project
+    if not seen:
+        raise DatasetEmpty(f"{d}: no loadable project archives")
+
+
+def scan_dataset(directory: str | Path) -> tuple[list[RawProject], list[SkipRecord]]:
+    """Every project iter_dataset loads, and a skip record per archive it
+    passes over; both in filename order. Raises DatasetEmpty as it does."""
+    skips: list[SkipRecord] = []
+    projects = list(iter_dataset(directory, skips))
     return projects, skips
 
 
 def load_dataset(directory: str | Path) -> list[RawProject]:
-    """Load a dataset directory, skipping unreadable archives with a log entry."""
-    projects, _ = scan_dataset(directory)
-    return projects
+    """Every project iter_dataset loads, in filename order."""
+    return list(iter_dataset(directory))
 
 
 def script_shapes(project: RawProject) -> list[tuple[ScriptSource, Shape]]:

@@ -10,6 +10,7 @@ subsets.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -65,13 +66,60 @@ SMALL_CLASS_CONFIG = MiningConfig(min_support=10, min_confidence=Fraction(7, 10)
 PRESETS = {"standard": STANDARD_CONFIG, "small-class": SMALL_CLASS_CONFIG}
 
 
+class Supporters(AbstractSet):
+    """The scripts of the distinct property sets in a tid mask, as a
+    read-only set.
+
+    The members are looked up only when the set is iterated, searched or
+    hashed, and then kept. Its length is the mask's weight when every
+    script of the vocabulary is a different one, so taking it builds
+    nothing. It compares and hashes like the frozenset of its members.
+    """
+
+    def __init__(self, vocab: Vocabulary, tidmask: int, weight: int) -> None:
+        self._vocab = vocab
+        self._tidmask = tidmask
+        self._weight = weight
+        self._members: frozenset[ScriptSource] | None = None
+        self._hash: int | None = None
+
+    def members(self) -> frozenset[ScriptSource]:
+        if self._members is None:
+            scripts, groups = self._vocab.scripts, self._vocab.groups
+            self._members = frozenset(
+                scripts[position] for t in bits(self._tidmask) for position in groups[t]
+            )
+        return self._members
+
+    def __len__(self) -> int:
+        return self._weight if self._vocab.distinct_scripts else len(self.members())
+
+    def __iter__(self) -> Iterator[ScriptSource]:
+        return iter(self.members())
+
+    def __contains__(self, script: object) -> bool:
+        return script in self.members()
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = AbstractSet._hash(self)  # frozenset's algorithm
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Supporters({set(self.members())!r})"
+
+
 @dataclass(frozen=True)
 class Pattern:
-    """A closed frequent set of temporal properties."""
+    """A closed frequent set of temporal properties.
+
+    `supporters` holds the scripts that contain the pattern: a frozenset
+    when built by hand, a lazy Supporters set when mined.
+    """
 
     properties: frozenset[TemporalProperty]
     support: int
-    supporters: frozenset[ScriptSource]
+    supporters: AbstractSet[ScriptSource]
 
     @property
     def size(self) -> int:
@@ -174,9 +222,7 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
         Pattern(
             properties=vocab.properties(intent),
             support=weight,
-            supporters=frozenset(
-                vocab.scripts[position] for t in bits(tidmask) for position in vocab.groups[t]
-            ),
+            supporters=Supporters(vocab, tidmask, weight),
         )
         for intent, tidmask, weight in found
     ]

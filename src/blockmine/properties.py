@@ -92,6 +92,12 @@ class Vocabulary:
     def _index(self) -> dict[TemporalProperty, int]:
         return {p: i for i, p in enumerate(self.items)}
 
+    @cached_property
+    def distinct_scripts(self) -> bool:
+        """True when no two positions hold the same script: then a group
+        of positions has as many scripts as positions."""
+        return len(set(self.scripts)) == len(self.scripts)
+
     def mask(self, properties: Iterable[TemporalProperty]) -> int:
         return sum(1 << self._index[p] for p in set(properties))
 

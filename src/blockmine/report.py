@@ -49,8 +49,8 @@ def _per_shape(
             yield script, value
 
 
-def extract_models(projects: Sequence[RawProject]) -> list[ScriptModel]:
-    """One model per script, in dataset order.
+def extract_models(projects: Iterable[RawProject]) -> list[ScriptModel]:
+    """One model per script, in dataset order, in one pass over `projects`.
 
     Each distinct script shape (the block structure a model is built from)
     is modelled once, and the scripts of one shape get copies of that
@@ -63,8 +63,9 @@ def extract_models(projects: Sequence[RawProject]) -> list[ScriptModel]:
     ]
 
 
-def extract_property_sets(projects: Sequence[RawProject]) -> list[PropertySet]:
-    """One property set per script, in dataset order.
+def extract_property_sets(projects: Iterable[RawProject]) -> list[PropertySet]:
+    """One property set per script, in dataset order, in one pass over
+    `projects`.
 
     Each distinct script shape is modelled once, and its properties are
     taken once: the scripts of one shape share one frozenset of
@@ -107,37 +108,68 @@ class AnalysisResult:
     stats: DatasetStats
 
 
+class _Census:
+    """Projects, real blocks and sprites, counted as projects pass by."""
+
+    def __init__(self) -> None:
+        self.projects = self.blocks = self.sprites = 0
+
+    def count(self, projects: Iterable[RawProject]) -> Iterator[RawProject]:
+        for project in projects:
+            self.projects += 1
+            self.blocks += project.block_count()
+            self.sprites += len(project.sprites)
+            yield project
+
+    def stats(
+        self,
+        property_sets: Sequence[PropertySet],
+        patterns: Sequence[Pattern],
+        violations: Sequence[Violation],
+        anomalies: Sequence[Anomaly],
+    ) -> DatasetStats:
+        n = self.projects
+        return DatasetStats(
+            solutions=n,
+            models=len(property_sets),
+            patterns=len(patterns),
+            violations=len(violations),
+            anomalies=len(anomalies),
+            mean_blocks=self.blocks / n if n else 0.0,
+            mean_scripts=len(property_sets) / n if n else 0.0,
+            mean_sprites=self.sprites / n if n else 0.0,
+        )
+
+
 def compute_stats(
-    projects: Sequence[RawProject],
+    projects: Iterable[RawProject],
     property_sets: Sequence[PropertySet],
     patterns: Sequence[Pattern],
     violations: Sequence[Violation],
     anomalies: Sequence[Anomaly],
 ) -> DatasetStats:
-    n = len(projects)
-    total_blocks = sum(p.block_count() for p in projects)
-    total_sprites = sum(len(p.sprites) for p in projects)
-    return DatasetStats(
-        solutions=n,
-        models=len(property_sets),
-        patterns=len(patterns),
-        violations=len(violations),
-        anomalies=len(anomalies),
-        mean_blocks=total_blocks / n if n else 0.0,
-        mean_scripts=len(property_sets) / n if n else 0.0,
-        mean_sprites=total_sprites / n if n else 0.0,
-    )
+    census = _Census()
+    for _ in census.count(projects):
+        pass
+    return census.stats(property_sets, patterns, violations, anomalies)
 
 
-def analyze_dataset(projects: Sequence[RawProject], config: MiningConfig) -> AnalysisResult:
-    """Run the whole pipeline on loaded projects."""
-    property_sets = extract_property_sets(projects)
+def analyze_dataset(projects: Iterable[RawProject], config: MiningConfig) -> AnalysisResult:
+    """Run the whole pipeline in one pass over `projects`.
+
+    `projects` may be any iterable, such as `iter_dataset`'s generator: the
+    stats are counted in the same pass that takes each script's shape, and
+    no project is kept after that, so a streamed classroom is never held
+    in memory as a whole.
+    """
+    census = _Census()
+    property_sets = extract_property_sets(census.count(projects))
     vocab = Vocabulary.of(property_sets)
     patterns = mine_vocabulary(vocab, config.min_support)
     classes = DeviationClasses(patterns, vocab, config)
     violations = classes.violations()
     anomalies = classes.anomalies(config.min_confidence)
-    stats = compute_stats(projects, property_sets, patterns, violations, anomalies)
+    stats = census.stats(property_sets, patterns, violations, anomalies)
     return AnalysisResult(
         property_sets=property_sets,
         patterns=patterns,

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from blockmine import (
+    AnomalyReport,
     InvalidConfig,
     MiningConfig,
     Pattern,
@@ -16,11 +19,15 @@ from blockmine import (
     PRESETS,
     SMALL_CLASS_CONFIG,
     STANDARD_CONFIG,
+    analyze_dataset,
     build_project,
     extract_property_sets,
+    load_dataset,
     mine_closed_patterns,
+    report_to_json,
     support,
 )
+from blockmine import mining
 from conftest import FIG_BUGGY_PROPS, FIG_BUGGY_SCRIPT, FIG_PROPS, FIG_SCRIPT
 from oracles import brute_force_closed, dummy_sources, random_mining_instance
 
@@ -245,3 +252,51 @@ def test_doubling_every_transaction_doubles_every_support():
             assert pattern.support == 2 * base_support[pattern.properties]
             for supporter in pattern.supporters:
                 assert pattern.properties <= by_source[supporter]
+
+
+def _naive_supporters(pattern: Pattern, sets) -> frozenset:
+    return frozenset(ps.source for ps in sets if pattern.properties <= ps.properties)
+
+
+def test_mined_supporters_compare_and_hash_like_their_frozenset():
+    sets = _two_script_sets()
+    for pattern in mine_closed_patterns(sets, min_support=1):
+        expected = _naive_supporters(pattern, sets)
+        assert pattern.supporters == expected
+        assert expected == pattern.supporters
+        assert not pattern.supporters != expected
+        assert pattern.supporters != expected | {dummy_sources(1)[0]}
+        assert expected | {dummy_sources(1)[0]} != pattern.supporters
+        assert hash(pattern.supporters) == hash(expected)
+        by_hand = replace(pattern, supporters=expected)
+        assert by_hand == pattern and pattern == by_hand
+        assert hash(by_hand) == hash(pattern)
+        assert {pattern: 1}[by_hand] == 1
+
+
+def test_supporter_count_is_taken_without_listing_the_supporters(monkeypatch):
+    sets = _sets_from([FIG_PROPS] * 5 + [FIG_BUGGY_PROPS] * 3)
+    patterns = mine_closed_patterns(sets, min_support=1)
+
+    def members(self):
+        raise AssertionError("the supporters were listed")
+
+    monkeypatch.setattr(mining.Supporters, "members", members)
+    assert [len(p.supporters) for p in patterns] == [p.support for p in patterns] == [8, 5, 3]
+
+
+def test_supporters_shared_by_two_property_sets_count_once():
+    (ps,) = _sets_from([FIG_PROPS])
+    (pattern,) = mine_closed_patterns([ps, ps], 2)
+    assert pattern.support == 2
+    assert len(pattern.supporters) == 1
+    assert pattern.supporters == frozenset({ps.source}) == set(pattern.supporters)
+    assert hash(pattern.supporters) == hash(frozenset({ps.source}))
+
+
+def test_supporter_count_in_the_json_report_counts_distinct_scripts(classroom_dir):
+    projects = load_dataset(classroom_dir)
+    result = analyze_dataset(projects, MiningConfig())
+    doc = json.loads(report_to_json(AnomalyReport("c", MiningConfig(), result)))
+    expected = [len(_naive_supporters(p, result.property_sets)) for p in result.patterns]
+    assert [p["supporter_count"] for p in doc["patterns"]] == expected == [31, 30]

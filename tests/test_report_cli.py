@@ -280,6 +280,19 @@ def test_cli_exit_code_2_for_unreadable_dataset(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["stats", "mine", "sweep", "extract-models"])
+def test_cli_exit_code_2_for_every_dataset_command(tmp_path, capsys, command):
+    out = ["--out", str(tmp_path / "out")]
+    assert main([command, str(tmp_path / "missing"), *out]) == 2
+    (tmp_path / "empty").mkdir()
+    assert main([command, str(tmp_path / "empty"), *out]) == 2
+    (tmp_path / "junk").mkdir()
+    (tmp_path / "junk" / "x.sb3").write_bytes(b"garbage")
+    assert main([command, str(tmp_path / "junk"), *out]) == 2
+    assert capsys.readouterr().err.count("unreadable dataset") == 3
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_code_1_for_bad_config(cli_classroom, capsys):
     assert main(["mine", str(cli_classroom), "--min-support", "0"]) == 1
     assert main(["mine", str(cli_classroom), "--min-confidence", "2"]) == 1
@@ -402,6 +415,7 @@ def test_text_and_json_reports_name_the_same_anomalies(classroom_result):
         ("BLOCKMINE_MAX_DEVIATION", "", "mine"),
         ("BLOCKMINE_JOBS", "two", "mine"),
         ("BLOCKMINE_TOP", "ten", "mine"),
+        ("BLOCKMINE_TOP", "-1", "mine"),
         ("BLOCKMINE_FORMAT", "xml", "mine"),
         ("BLOCKMINE_SUPPORTS", "5,x", "sweep"),
         ("BLOCKMINE_CONFIDENCES", "0.5,/", "sweep"),
@@ -420,6 +434,7 @@ def test_cli_bad_variable_is_named_before_the_dataset_is_read(
     [
         ["mine", "--min-confidence", "2"],
         ["mine", "--min-support", "0"],
+        ["mine", "--top", "-1"],
         ["mine", "--format", "dot"],
         ["stats", "--jobs", "0"],
         ["sweep", "--supports", "0,5"],
@@ -428,12 +443,20 @@ def test_cli_bad_variable_is_named_before_the_dataset_is_read(
     ],
 )
 def test_cli_config_error_stops_before_the_dataset_is_read(tmp_path, capsys, monkeypatch, argv):
-    def load_dataset(directory):
+    def iter_dataset(directory):
         raise AssertionError("the dataset was read")
 
-    monkeypatch.setattr("blockmine.cli.load_dataset", load_dataset)
+    monkeypatch.setattr("blockmine.cli.iter_dataset", iter_dataset)
     assert main([argv[0], str(tmp_path), *argv[1:]]) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_top_zero_hides_every_anomaly(cli_classroom, capsys, monkeypatch):
+    assert main(["mine", str(cli_classroom), "--top", "0"]) == 0
+    assert "1 anomalies (hidden by top=0)" in capsys.readouterr().out
+    monkeypatch.setenv("BLOCKMINE_TOP", "0")
+    assert main(["mine", str(cli_classroom), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["anomalies"] == []
 
 
 def test_cli_environment_beats_preset(cli_classroom, tmp_path, monkeypatch):
