@@ -17,6 +17,7 @@ import math
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -60,6 +61,12 @@ class Actor:
     blocks: Mapping[str, RawBlock]
     script_roots: tuple[str, ...]
 
+    @cached_property
+    def shapes(self) -> dict[str, Shape]:
+        """The stack_shape of each top-level stack by root id, in canvas reading
+        order, each taken once on first use. Raises as stack_shape does."""
+        return {root_id: stack_shape(self, root_id) for root_id in self.script_roots}
+
 
 @dataclass(frozen=True)
 class RawProject:
@@ -81,9 +88,7 @@ class RawProject:
 
     def block_count(self) -> int:
         """Number of real (non-shadow) blocks across all actors."""
-        return sum(
-            1 for a in self.actors for b in a.blocks.values() if not b.is_shadow
-        )
+        return sum(not b.is_shadow for a in self.actors for b in a.blocks.values())
 
 
 @dataclass(frozen=True, order=True)
@@ -126,10 +131,18 @@ MAX_PROJECT_BYTES = 64 * 1024 * 1024
 
 
 def _project_document(data: bytes, path: Path) -> dict:
-    """Extract the project document from raw archive bytes."""
-    if zipfile.is_zipfile(io.BytesIO(data)):
+    """The project document of raw archive bytes: the project.json of a zip
+    archive, or else the bytes themselves read as JSON text."""
+    try:
+        archive = zipfile.ZipFile(io.BytesIO(data))
+    except zipfile.BadZipFile as exc:  # no readable end record: try JSON text
+        text = data
+        not_json = ArchiveUnreadable(f"{path.name}: neither a zip archive nor JSON text ({exc})")
+    except _ZIP_ERRORS as exc:
+        raise ArchiveUnreadable(f"{path.name}: broken zip archive: {exc}") from exc
+    else:
         try:
-            with zipfile.ZipFile(io.BytesIO(data)) as zf, zf.open("project.json") as member:
+            with archive, archive.open("project.json") as member:
                 text = member.read(MAX_PROJECT_BYTES + 1)
         except KeyError:
             raise MalformedProject(f"{path.name}: archive has no project.json") from None
@@ -140,9 +153,6 @@ def _project_document(data: bytes, path: Path) -> dict:
                 f"{path.name}: project.json inflates past {MAX_PROJECT_BYTES} bytes"
             )
         not_json = MalformedProject(f"{path.name}: project.json is not valid JSON")
-    else:
-        text = data
-        not_json = ArchiveUnreadable(f"{path.name}: neither a zip archive nor JSON text")
     try:
         doc = json.loads(text)
     except ValueError:
@@ -159,12 +169,9 @@ def _parse_inputs(raw_inputs: object) -> tuple[tuple[str | None, ...], tuple[str
 
     Each input value is [shadow_state, primary, obscured?] where primary and
     obscured are either block-id strings or inline primitive arrays; only the
-    id strings matter here.
+    id strings matter here. SUBSTACK2 makes two substack slots, SUBSTACK one.
     """
-    sub1: str | None = None
-    sub2: str | None = None
-    has_sub1 = False
-    has_sub2 = False
+    slots: dict[str, str | None] = {}
     children: list[str] = []
     if isinstance(raw_inputs, dict):
         for name in sorted(raw_inputs):
@@ -172,21 +179,13 @@ def _parse_inputs(raw_inputs: object) -> tuple[tuple[str | None, ...], tuple[str
             if not isinstance(value, list) or len(value) < 2:
                 continue
             refs = [v for v in value[1:] if isinstance(v, str)]
-            if name == "SUBSTACK":
-                has_sub1 = True
-                sub1 = refs[0] if refs else None
-            elif name == "SUBSTACK2":
-                has_sub2 = True
-                sub2 = refs[0] if refs else None
+            if name in ("SUBSTACK", "SUBSTACK2"):
+                slots[name] = refs[0] if refs else None
             else:
                 children.extend(refs)
-    if has_sub2:
-        substacks: tuple[str | None, ...] = (sub1, sub2)
-    elif has_sub1:
-        substacks = (sub1,)
-    else:
-        substacks = ()
-    return substacks, tuple(children)
+    if "SUBSTACK2" in slots:
+        return (slots.get("SUBSTACK"), slots["SUBSTACK2"]), tuple(children)
+    return tuple(slots.values()), tuple(children)
 
 
 def _coordinate(raw: dict, axis: str, owner: str, block_id: object, warnings: list[str]) -> float:
@@ -204,74 +203,64 @@ def _coordinate(raw: dict, axis: str, owner: str, block_id: object, warnings: li
     return 0.0
 
 
+def _proccode(raw: dict) -> str:
+    """The procedure name in a raw block's mutation, or ""."""
+    mutation = raw.get("mutation")
+    if isinstance(mutation, dict) and isinstance(mutation.get("proccode"), str):
+        return mutation["proccode"]
+    return ""
+
+
 def _parse_target(target: dict, warnings: list[str]) -> Actor:
+    """The actor of a target, each block built once. Dropped entries and
+    bad coordinates are warned about as they are met, then the references
+    to missing blocks, which are cleared rather than fatal."""
     name = str(target.get("name", ""))
-    is_stage = bool(target.get("isStage", False))
     raw_blocks = target.get("blocks")
-    parsed: dict[str, RawBlock] = {}
-    if isinstance(raw_blocks, dict):
-        for block_id, raw in raw_blocks.items():
-            if not isinstance(raw, dict):
-                # Loose variable/list reporters sit on the canvas as arrays.
-                warnings.append(f"{name}: dropped non-block entry {block_id!r}")
-                continue
-            opcode = raw.get("opcode")
-            if not isinstance(opcode, str) or not opcode:
-                warnings.append(f"{name}: dropped block {block_id!r} without opcode")
-                continue
-            substacks, children = _parse_inputs(raw.get("inputs"))
-            mutation = raw.get("mutation")
-            proccode = ""
-            if isinstance(mutation, dict) and isinstance(mutation.get("proccode"), str):
-                proccode = mutation["proccode"]
-            parsed[str(block_id)] = RawBlock(
-                id=str(block_id),
-                opcode=opcode,
-                next=raw.get("next") if isinstance(raw.get("next"), str) else None,
-                parent=raw.get("parent") if isinstance(raw.get("parent"), str) else None,
-                substacks=substacks,
-                reporter_children=children,
-                is_top_level=bool(raw.get("topLevel", False)),
-                is_shadow=bool(raw.get("shadow", False)),
-                proccode=proccode,
-                x=_coordinate(raw, "x", name, block_id, warnings),
-                y=_coordinate(raw, "y", name, block_id, warnings),
-            )
-
-    # Resolve cross-references: a dangling pointer is cleared, not fatal.
-    ids = set(parsed)
-    resolved: dict[str, RawBlock] = {}
-    for block_id, block in parsed.items():
-        changes: dict[str, object] = {}
-        if block.next is not None and block.next not in ids:
-            warnings.append(f"{name}: block {block_id!r} next -> missing {block.next!r}")
-            changes["next"] = None
-        if block.parent is not None and block.parent not in ids:
-            warnings.append(f"{name}: block {block_id!r} parent -> missing {block.parent!r}")
-            changes["parent"] = None
-        if any(s is not None and s not in ids for s in block.substacks):
-            warnings.append(f"{name}: block {block_id!r} has a missing substack")
-            changes["substacks"] = tuple(
-                s if s is None or s in ids else None for s in block.substacks
-            )
-        if any(c not in ids for c in block.reporter_children):
-            warnings.append(f"{name}: block {block_id!r} references a missing input block")
-            changes["reporter_children"] = tuple(
-                c for c in block.reporter_children if c in ids
-            )
-        resolved[block_id] = replace(block, **changes) if changes else block
-
-    # Custom procedure definitions carry their name on the prototype block.
-    for block_id, block in list(resolved.items()):
-        if block.opcode == "procedures_definition" and not block.proccode:
-            for child in block.reporter_children:
-                proto = resolved.get(child)
-                if proto is not None and proto.proccode:
-                    resolved[block_id] = replace(block, proccode=proto.proccode)
+    raw_blocks = raw_blocks if isinstance(raw_blocks, dict) else {}
+    usable = {block_id for block_id, raw in raw_blocks.items()
+              if isinstance(raw, dict) and isinstance(raw.get("opcode"), str) and raw["opcode"]}
+    blocks: dict[str, RawBlock] = {}
+    repairs: list[str] = []
+    for block_id, raw in raw_blocks.items():
+        if not isinstance(raw, dict):
+            # Loose variable/list reporters sit on the canvas as arrays.
+            warnings.append(f"{name}: dropped non-block entry {block_id!r}")
+            continue
+        if block_id not in usable:
+            warnings.append(f"{name}: dropped block {block_id!r} without opcode")
+            continue
+        links = []
+        for key in ("next", "parent"):
+            ref = raw.get(key) if isinstance(raw.get(key), str) else None
+            if ref is not None and ref not in usable:
+                repairs.append(f"{name}: block {block_id!r} {key} -> missing {ref!r}")
+            links.append(ref if ref in usable else None)
+        substacks, children = _parse_inputs(raw.get("inputs"))
+        if any(s is not None and s not in usable for s in substacks):
+            repairs.append(f"{name}: block {block_id!r} has a missing substack")
+            substacks = tuple(s if s in usable else None for s in substacks)
+        if any(c not in usable for c in children):
+            repairs.append(f"{name}: block {block_id!r} references a missing input block")
+            children = tuple(c for c in children if c in usable)
+        proccode = _proccode(raw)
+        if not proccode and raw["opcode"] == "procedures_definition":
+            # A custom procedure definition carries its name on its prototype.
+            for child in children:
+                proccode = _proccode(raw_blocks[child])
+                if proccode:
                     break
-
-    return Actor(name=name, is_stage=is_stage, blocks=resolved,
-                 script_roots=canvas_roots(resolved.values()))
+        blocks[block_id] = RawBlock(
+            block_id, raw["opcode"], *links, substacks, children,
+            is_top_level=bool(raw.get("topLevel", False)),
+            is_shadow=bool(raw.get("shadow", False)),
+            proccode=proccode,
+            x=_coordinate(raw, "x", name, block_id, warnings),
+            y=_coordinate(raw, "y", name, block_id, warnings),
+        )
+    warnings.extend(repairs)
+    return Actor(name=name, is_stage=bool(target.get("isStage", False)), blocks=blocks,
+                 script_roots=canvas_roots(blocks.values()))
 
 
 def canvas_roots(blocks: Iterable[RawBlock]) -> tuple[str, ...]:
@@ -297,11 +286,12 @@ Shape = tuple[tuple[ShapeBlock, ...], ...]
 def stack_shape(actor: Actor, root_id: str) -> Shape:
     """The block structure of the stack at root_id, checked as it is walked.
 
-    This is the one walk over a stack's blocks: load_project checks every
-    stack with it, script_shapes keeps the stacks whose shape holds a
-    block, and the model builder reads nothing else. Chains are numbered in
-    breadth-first order from the stack itself, and each block names its
-    substacks by chain number, so equal block structures give equal shapes.
+    This is the one walk over a stack's blocks, made once per stack by
+    Actor.shapes: load_project checks every stack by taking its shape,
+    script_shapes keeps the stacks whose shape holds a block, and the model
+    builder reads nothing else. Chains are numbered in breadth-first order
+    from the stack itself, and each block names its substacks by chain
+    number, so equal block structures give equal shapes.
     Reporter blocks are left out of their chain; a substack hung under one
     (Scratch never writes it) is still walked and kept as a chain, but no
     slot names it. Block ids, canvas coordinates and what is plugged into
@@ -309,21 +299,23 @@ def stack_shape(actor: Actor, root_id: str) -> Shape:
     deep the stack is, so comparing two shapes never recurses once per
     level. A reference to a missing block ends its chain.
 
-    Raises MalformedProject when the walk reaches a block twice, through
-    next or a substack: in a well-formed stack every block has one parent,
-    and a model of a reference cycle would never end. Also raises it when
-    substacks nest deeper than MAX_NESTING.
+    Raises MalformedProject, naming root_id, when the walk reaches a block
+    twice, through next or a substack: in a well-formed stack every block
+    has one parent, and a model of a reference cycle would never end. Also
+    raises it when substacks nest deeper than MAX_NESTING.
     """
     seen: set[str] = set()
     pending: list[tuple[str, int]] = [(root_id, 0)]  # chain roots and their depths
     chains: list[tuple[ShapeBlock, ...]] = []
     for block_id, depth in pending:  # pending grows as substacks are found
         if depth > MAX_NESTING:
-            raise MalformedProject(f"nests substacks deeper than {MAX_NESTING} levels")
+            raise MalformedProject(
+                f"script {root_id!r} nests substacks deeper than {MAX_NESTING} levels"
+            )
         chain: list[ShapeBlock] = []
         while block_id is not None and block_id in actor.blocks:
             if block_id in seen:
-                raise MalformedProject(f"reaches block {block_id!r} twice")
+                raise MalformedProject(f"script {root_id!r} reaches block {block_id!r} twice")
             seen.add(block_id)
             block = actor.blocks[block_id]
             slots: list[int | None] = []
@@ -341,15 +333,38 @@ def stack_shape(actor: Actor, root_id: str) -> Shape:
     return tuple(chains)
 
 
+class _Names:
+    """Unique names in the order they are claimed: a name is kept the first
+    time, and a repeat becomes `<name>#k` with the least k >= 2 that no
+    name in `taken` and no earlier claim holds."""
+
+    def __init__(self, taken: Iterable[str]) -> None:
+        self.taken = set(taken)
+        self.claimed: set[str] = set()
+
+    def claim(self, name: str) -> str:
+        if name in self.claimed:
+            k = 2
+            while f"{name}#{k}" in self.taken:
+                k += 1
+            name = f"{name}#{k}"
+            self.taken.add(name)
+        self.claimed.add(name)
+        return name
+
+
 def load_project(path: str | Path) -> RawProject:
-    """Parse one solution archive (.sb3 zip or bare project.json).
+    """Parse one solution archive (.sb3 zip or bare project.json), opening
+    it once and walking each stack once (Actor.shapes keeps the shapes). A
+    repeated actor name becomes `<name>#k`, the least k >= 2 that no other
+    name uses, with a warning: Cat, Cat, Cat#2 load as Cat, Cat#3, Cat#2.
 
     Raises ArchiveUnreadable for bytes that are neither a readable zip nor
     JSON, and MalformedProject when the archive exists but holds no usable
-    project, when its project.json inflates past MAX_PROJECT_BYTES, or
-    when a script reaches one block twice or nests its substacks deeper
-    than MAX_NESTING. Other schema violations inside a valid project become
-    warning records.
+    project, when its project.json inflates past MAX_PROJECT_BYTES (bare
+    JSON has no cap), or when a script reaches one block twice or nests
+    its substacks deeper than MAX_NESTING. Other schema violations inside
+    a valid project become warning records.
     """
     p = Path(path)
     try:
@@ -361,27 +376,21 @@ def load_project(path: str | Path) -> RawProject:
     warnings: list[str] = []
     actors: list[Actor] = []
     for target in doc["targets"]:
-        if not isinstance(target, dict):
+        if isinstance(target, dict):
+            actors.append(_parse_target(target, warnings))
+        else:
             warnings.append("dropped non-object target entry")
-            continue
-        actor = _parse_target(target, warnings)
-        for root_id in actor.script_roots:
-            try:
-                stack_shape(actor, root_id)
-            except MalformedProject as exc:
-                reason = f"{p.name}: {actor.name}: script {root_id!r} {exc}"
-                raise MalformedProject(reason) from None
-        actors.append(actor)
 
-    # Duplicate actor names would break script provenance; disambiguate.
-    seen: dict[str, int] = {}
+    names = _Names(actor.name for actor in actors)
     for i, actor in enumerate(actors):
-        n = seen.get(actor.name, 0)
-        seen[actor.name] = n + 1
-        if n:
-            new_name = f"{actor.name}#{n + 1}"
-            warnings.append(f"duplicate actor name {actor.name!r} renamed {new_name!r}")
-            actors[i] = Actor(new_name, actor.is_stage, actor.blocks, actor.script_roots)
+        name = names.claim(actor.name)
+        if name != actor.name:
+            warnings.append(f"duplicate actor name {actor.name!r} renamed {name!r}")
+            actors[i] = actor = replace(actor, name=name)
+        try:
+            actor.shapes  # walks, and so checks, every stack
+        except MalformedProject as exc:
+            raise MalformedProject(f"{p.name}: {actor.name}: {exc}") from None
 
     stages = sum(1 for a in actors if a.is_stage)
     if stages != 1:
@@ -400,9 +409,9 @@ def iter_dataset(
     project holds one RawProject at a time. An archive that cannot be used
     is logged, appended to `skips` when that list is given, and passed
     over. Filename stems can collide across suffixes (a.sb3 and a.json):
-    the second project loaded with a stem is renamed `<stem>#2`, the third
-    `<stem>#3`. Raises DatasetEmpty, when iterated, for a path that is not
-    a directory, and after the last archive when none could be loaded.
+    a repeated stem becomes `<stem>#k`, the least k >= 2 no archive's stem
+    or earlier id uses. Raises DatasetEmpty, when iterated, for a path that
+    is not a directory, and after the last archive when none could be loaded.
     """
     d = Path(directory)
     if not d.is_dir():
@@ -410,7 +419,7 @@ def iter_dataset(
     candidates = sorted(
         f for f in d.iterdir() if f.is_file() and f.suffix.lower() in _ARCHIVE_SUFFIXES
     )
-    seen: dict[str, int] = {}
+    names = _Names(f.stem for f in candidates)
     for f in candidates:
         try:
             project = load_project(f)
@@ -419,12 +428,9 @@ def iter_dataset(
             if skips is not None:
                 skips.append(SkipRecord(path=f, reason=str(exc)))
             continue
-        n = seen.get(project.project_id, 0)
-        seen[project.project_id] = n + 1
-        if n:
-            project = replace(project, project_id=f"{project.project_id}#{n + 1}")
-        yield project
-    if not seen:
+        name = names.claim(project.project_id)
+        yield project if name == project.project_id else replace(project, project_id=name)
+    if not names.claimed:
         raise DatasetEmpty(f"{d}: no loadable project archives")
 
 
@@ -432,8 +438,7 @@ def scan_dataset(directory: str | Path) -> tuple[list[RawProject], list[SkipReco
     """Every project iter_dataset loads, and a skip record per archive it
     passes over; both in filename order. Raises DatasetEmpty as it does."""
     skips: list[SkipRecord] = []
-    projects = list(iter_dataset(directory, skips))
-    return projects, skips
+    return list(iter_dataset(directory, skips)), skips
 
 
 def load_dataset(directory: str | Path) -> list[RawProject]:
@@ -442,7 +447,7 @@ def load_dataset(directory: str | Path) -> list[RawProject]:
 
 
 def script_shapes(project: RawProject) -> list[tuple[ScriptSource, Shape]]:
-    """The scripts of a project, each with its stack_shape.
+    """The scripts of a project, each with its shape from Actor.shapes.
 
     A script is a top-level stack whose shape holds a block: at least one
     block in a command slot (unknown opcodes count as commands). A stack
@@ -452,8 +457,7 @@ def script_shapes(project: RawProject) -> list[tuple[ScriptSource, Shape]]:
     pairs: list[tuple[ScriptSource, Shape]] = []
     for actor in project.actors:
         index = 0
-        for root_id in actor.script_roots:
-            shape = stack_shape(actor, root_id)
+        for root_id, shape in actor.shapes.items():
             if any(shape):
                 source = ScriptSource(project.project_id, actor.name, index, root_id)
                 pairs.append((source, shape))

@@ -147,6 +147,8 @@ def mine_closed_patterns(
     The empty pattern is never reported. Deterministic output order:
     support descending, then size descending, then property order.
     """
+    if not property_sets:
+        raise ValueError("property_sets must be nonempty")
     return mine_vocabulary(Vocabulary.of(property_sets), min_support)
 
 
@@ -163,8 +165,6 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
     if min_support < 1:
         raise InvalidConfig(f"min_support must be >= 1, got {min_support}")
     n = len(vocab.scripts)
-    if n == 0:
-        raise ValueError("property_sets must be nonempty")
     if None in vocab.scripts:
         raise ValueError("every PropertySet needs a source to identify supporters")
     if min_support > n:

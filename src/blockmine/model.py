@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
 from .blocks import BlockKind, BlockLabel, classify_opcode
-from .ingest import RawProject, ScriptSource, Shape, ShapeBlock, stack_shape
+from .ingest import RawProject, ScriptSource, Shape, ShapeBlock
 
 # (source location, block label or None for epsilon, target location)
 Transition = tuple[int, BlockLabel | None, int]
@@ -85,13 +85,8 @@ class _Continuation:
         return self._value
 
 
-def script_shape(script: ScriptSource, project: RawProject) -> Shape:
-    """Everything build_script_model reads from a script: its stack_shape."""
-    return stack_shape(project.actor(script.actor_name), script.root_block)
-
-
 def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel:
-    """Build the control-flow model of one script from its script_shape.
+    """Build the control-flow model of one script from its shape.
 
     Hats, plain commands, and caps each contribute a single transition; an
     if-then forks into the branch body and a skip edge that both rejoin the
@@ -103,11 +98,11 @@ def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel
     location of the stack joins the exits; caps mark their target as an
     exit and end the stack.
     """
-    return build_shape_model(script_shape(script, project), script)
+    return build_shape_model(project.actor(script.actor_name).shapes[script.root_block], script)
 
 
 def build_shape_model(shape: Shape, source: ScriptSource | None = None) -> ScriptModel:
-    """The model of every script whose script_shape is `shape`, attributed
+    """The model of every script whose stack_shape is `shape`, attributed
     to `source`."""
     counter = [0]
 

@@ -7,7 +7,13 @@ to audit, which is the point.
 
 from __future__ import annotations
 
+import io
+import json
+import lzma
+import math
 import random
+import zipfile
+import zlib
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -32,7 +38,7 @@ from blockmine import (
 )
 from blockmine import ingest
 from blockmine.blocks import PROCEDURE_OPCODES, BlockKind, classify_opcode
-from blockmine.errors import MalformedProject
+from blockmine.errors import ArchiveUnreadable, MalformedProject
 from blockmine.ingest import MAX_NESTING, RawBlock
 
 
@@ -97,35 +103,187 @@ def naive_script_fault(actor: Actor, root_id: str) -> str | None:
     return None
 
 
+# The loader as it was before each archive was opened once and each block
+# built once: the archive's end record is read by is_zipfile and again by
+# ZipFile, and every block is built, then copied when a reference is
+# cleared or a procedure name is filled in.
+
+_ZIP_ERRORS = (zipfile.BadZipFile, OSError, EOFError, ValueError, RuntimeError,
+               zlib.error, lzma.LZMAError)
+
+
+def _project_document(data: bytes, path: Path) -> dict:
+    if zipfile.is_zipfile(io.BytesIO(data)):
+        try:
+            with zipfile.ZipFile(io.BytesIO(data)) as zf, zf.open("project.json") as member:
+                text = member.read(ingest.MAX_PROJECT_BYTES + 1)
+        except KeyError:
+            raise MalformedProject(f"{path.name}: archive has no project.json") from None
+        except _ZIP_ERRORS as exc:
+            raise ArchiveUnreadable(f"{path.name}: broken zip archive: {exc}") from exc
+        if len(text) > ingest.MAX_PROJECT_BYTES:
+            raise MalformedProject(
+                f"{path.name}: project.json inflates past {ingest.MAX_PROJECT_BYTES} bytes"
+            )
+        not_json = MalformedProject(f"{path.name}: project.json is not valid JSON")
+    else:
+        text = data
+        not_json = ArchiveUnreadable(f"{path.name}: neither a zip archive nor JSON text")
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        raise not_json from None
+    except RecursionError:
+        raise MalformedProject(f"{path.name}: project document nests too deeply") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("targets"), list):
+        raise MalformedProject(f"{path.name}: no targets array in project document")
+    return doc
+
+
+def _parse_inputs(raw_inputs: object) -> tuple[tuple[str | None, ...], tuple[str, ...]]:
+    sub1: str | None = None
+    sub2: str | None = None
+    has_sub1 = False
+    has_sub2 = False
+    children: list[str] = []
+    if isinstance(raw_inputs, dict):
+        for name in sorted(raw_inputs):
+            value = raw_inputs[name]
+            if not isinstance(value, list) or len(value) < 2:
+                continue
+            refs = [v for v in value[1:] if isinstance(v, str)]
+            if name == "SUBSTACK":
+                has_sub1 = True
+                sub1 = refs[0] if refs else None
+            elif name == "SUBSTACK2":
+                has_sub2 = True
+                sub2 = refs[0] if refs else None
+            else:
+                children.extend(refs)
+    if has_sub2:
+        substacks: tuple[str | None, ...] = (sub1, sub2)
+    elif has_sub1:
+        substacks = (sub1,)
+    else:
+        substacks = ()
+    return substacks, tuple(children)
+
+
+def _coordinate(raw: dict, axis: str, owner: str, block_id: object, warnings: list[str]) -> float:
+    value = raw.get(axis, 0) or 0
+    try:
+        coord = float(value)
+    except (TypeError, ValueError, OverflowError):
+        coord = math.nan
+    if math.isfinite(coord):
+        return coord
+    warnings.append(
+        f"{owner}: block {block_id!r} {axis} coordinate {value!r} is not a number, read as 0"
+    )
+    return 0.0
+
+
+def _parse_target(target: dict, warnings: list[str]) -> Actor:
+    """The actor of a target, with no script roots: naive_load_project
+    finds them."""
+    name = str(target.get("name", ""))
+    is_stage = bool(target.get("isStage", False))
+    raw_blocks = target.get("blocks")
+    parsed: dict[str, RawBlock] = {}
+    if isinstance(raw_blocks, dict):
+        for block_id, raw in raw_blocks.items():
+            if not isinstance(raw, dict):
+                warnings.append(f"{name}: dropped non-block entry {block_id!r}")
+                continue
+            opcode = raw.get("opcode")
+            if not isinstance(opcode, str) or not opcode:
+                warnings.append(f"{name}: dropped block {block_id!r} without opcode")
+                continue
+            substacks, children = _parse_inputs(raw.get("inputs"))
+            mutation = raw.get("mutation")
+            proccode = ""
+            if isinstance(mutation, dict) and isinstance(mutation.get("proccode"), str):
+                proccode = mutation["proccode"]
+            parsed[str(block_id)] = RawBlock(
+                id=str(block_id),
+                opcode=opcode,
+                next=raw.get("next") if isinstance(raw.get("next"), str) else None,
+                parent=raw.get("parent") if isinstance(raw.get("parent"), str) else None,
+                substacks=substacks,
+                reporter_children=children,
+                is_top_level=bool(raw.get("topLevel", False)),
+                is_shadow=bool(raw.get("shadow", False)),
+                proccode=proccode,
+                x=_coordinate(raw, "x", name, block_id, warnings),
+                y=_coordinate(raw, "y", name, block_id, warnings),
+            )
+
+    ids = set(parsed)
+    resolved: dict[str, RawBlock] = {}
+    for block_id, block in parsed.items():
+        changes: dict[str, object] = {}
+        if block.next is not None and block.next not in ids:
+            warnings.append(f"{name}: block {block_id!r} next -> missing {block.next!r}")
+            changes["next"] = None
+        if block.parent is not None and block.parent not in ids:
+            warnings.append(f"{name}: block {block_id!r} parent -> missing {block.parent!r}")
+            changes["parent"] = None
+        if any(s is not None and s not in ids for s in block.substacks):
+            warnings.append(f"{name}: block {block_id!r} has a missing substack")
+            changes["substacks"] = tuple(
+                s if s is None or s in ids else None for s in block.substacks
+            )
+        if any(c not in ids for c in block.reporter_children):
+            warnings.append(f"{name}: block {block_id!r} references a missing input block")
+            changes["reporter_children"] = tuple(
+                c for c in block.reporter_children if c in ids
+            )
+        resolved[block_id] = replace(block, **changes) if changes else block
+
+    for block_id, block in list(resolved.items()):
+        if block.opcode == "procedures_definition" and not block.proccode:
+            for child in block.reporter_children:
+                proto = resolved.get(child)
+                if proto is not None and proto.proccode:
+                    resolved[block_id] = replace(block, proccode=proto.proccode)
+                    break
+
+    return Actor(name=name, is_stage=is_stage, blocks=resolved, script_roots=())
+
+
 def naive_load_project(path: Path) -> RawProject:
-    """load_project with roots sorted over every block before the top-level
-    ones are picked, and each stack checked by naive_script_fault."""
-    doc = ingest._project_document(path.read_bytes(), path)
+    """load_project with the loader above, roots sorted over every block
+    before the top-level ones are picked, each duplicate actor name given
+    the first free `#k` by a linear search, and each stack checked by
+    naive_script_fault."""
+    doc = _project_document(path.read_bytes(), path)
     warnings: list[str] = []
     actors: list[Actor] = []
     for target in doc["targets"]:
         if not isinstance(target, dict):
             warnings.append("dropped non-object target entry")
             continue
-        actor = ingest._parse_target(target, warnings)
+        actor = _parse_target(target, warnings)
         roots = tuple(
             b.id
             for b in sorted(actor.blocks.values(), key=lambda b: (b.y, b.x, b.id))
             if b.is_top_level and not b.is_shadow
         )
-        for root_id in roots:
+        actors.append(replace(actor, script_roots=roots))
+    originals = [actor.name for actor in actors]
+    for i, actor in enumerate(actors):
+        if actor.name in [a.name for a in actors[:i]]:
+            k = 2
+            while f"{actor.name}#{k}" in originals + [a.name for a in actors[:i]]:
+                k += 1
+            new_name = f"{actor.name}#{k}"
+            warnings.append(f"duplicate actor name {actor.name!r} renamed {new_name!r}")
+            actors[i] = replace(actor, name=new_name)
+    for actor in actors:
+        for root_id in actor.script_roots:
             fault = naive_script_fault(actor, root_id)
             if fault is not None:
                 raise MalformedProject(f"{path.name}: {actor.name}: script {root_id!r} {fault}")
-        actors.append(replace(actor, script_roots=roots))
-    seen: dict[str, int] = {}
-    for i, actor in enumerate(actors):
-        n = seen.get(actor.name, 0)
-        seen[actor.name] = n + 1
-        if n:
-            new_name = f"{actor.name}#{n + 1}"
-            warnings.append(f"duplicate actor name {actor.name!r} renamed {new_name!r}")
-            actors[i] = replace(actor, name=new_name)
     stages = sum(1 for a in actors if a.is_stage)
     if stages != 1:
         warnings.append(f"expected exactly one stage target, found {stages}")

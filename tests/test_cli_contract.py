@@ -46,7 +46,8 @@ _BAD_SPECS = ["missing", "not-json", "non-list-mutations", "unknown-kind"]
 def inputs(tmp_path_factory) -> dict[str, Path]:
     """Tiny datasets and corpus specs, by state."""
     root = tmp_path_factory.mktemp("contract")
-    paths = {state: root / state for state in ["empty", "all-skipped", "mixed", "clean"]}
+    states = ["empty", "all-skipped", "mixed", "clean", "scriptless"]
+    paths = {state: root / state for state in states}
     for path in paths.values():
         path.mkdir()
     garbage = b"\x00 not a project"
@@ -58,6 +59,11 @@ def inputs(tmp_path_factory) -> dict[str, Path]:
         write_project_archive(project, paths["clean"] / f"{name}.sb3")
         if i < 2:
             write_project_archive(project, paths["mixed"] / f"{name}.sb3")
+    # projects that load but hold no script: an empty sprite, a loose reporter
+    write_project_archive(build_project("blank", [("Cat", [])]), paths["scriptless"] / "blank.sb3")
+    write_project_archive(
+        build_project("loose", [("Cat", [["operator_add"]])]), paths["scriptless"] / "loose.sb3"
+    )
     paths["missing"] = root / "no-such-directory"
 
     write_project_archive(build_project("ref", [("Cat", [FIG_SCRIPT])]), root / "ref.sb3")
@@ -108,7 +114,7 @@ _RARELY = st.sampled_from([False, False, False, True])
 @given(
     data=st.data(),
     command=st.sampled_from(_DATASET_COMMANDS),
-    dataset=st.sampled_from([*_EMPTY_DATASETS, "mixed", "clean"]),
+    dataset=st.sampled_from([*_EMPTY_DATASETS, "mixed", "clean", "scriptless"]),
     variables=_options(_VALUES),
     out=st.booleans(),
     unknown_flag=_RARELY,
@@ -126,6 +132,17 @@ def test_dataset_commands_exit_0_1_or_2(
         code = _run(argv, variables)
     if dataset in _EMPTY_DATASETS or unknown_flag:
         assert code != 0, argv
+
+
+@pytest.mark.parametrize("command", _DATASET_COMMANDS)
+def test_a_classroom_without_scripts_is_analysed(inputs, command, tmp_path):
+    out = tmp_path / "out"
+    assert _run([command, str(inputs["scriptless"]), f"--out={out}"], []) == 0
+    if command == "stats":
+        assert "script models:  0" in out.read_text()
+    elif command == "mine":
+        headline = "2 solutions, 0 script models, 0 patterns, 0 violations, 0 anomalies"
+        assert headline in out.read_text()
 
 
 @settings(max_examples=60, deadline=None)

@@ -169,6 +169,24 @@ def test_shadow_blocks_not_counted_and_not_scripts(tmp_path):
     assert all(not cat.blocks[r].is_shadow for r in cat.script_roots)
 
 
+def test_a_renamed_actor_takes_the_first_free_number(tmp_path):
+    project = build_project("crowd", [
+        ("Cat", [FIG_SCRIPT]), ("Cat", [FIG_BUGGY_SCRIPT]), ("Cat#2", [["looks_say"]]),
+    ])
+    path = _write_json_project(tmp_path / "crowd.json", project_to_document(project))
+    loaded = load_project(path)
+    assert [a.name for a in loaded.actors] == ["Stage", "Cat", "Cat#3", "Cat#2"]
+    assert loaded.warnings == ("duplicate actor name 'Cat' renamed 'Cat#3'",)
+    # each script is modelled from its own actor's blocks
+    opcodes = {}
+    for script in enumerate_scripts(loaded):
+        model = build_script_model(script, loaded)
+        opcodes[script.actor_name] = {label.opcode for _, label, _ in model.transitions}
+    assert "motion_movesteps" in opcodes["Cat"]
+    assert "motion_gotoxy" in opcodes["Cat#3"]
+    assert opcodes["Cat#2"] == {"looks_say"}
+
+
 def test_duplicate_actor_names_disambiguated(tmp_path):
     doc = {
         "targets": [
@@ -308,12 +326,54 @@ def test_dataset_with_no_loadable_archives_raises(tmp_path):
         load_dataset(tmp_path / "missing_subdir")
 
 
+def _counted(monkeypatch, owner, name) -> list:
+    """The argument tuples of every call to owner.name from now on."""
+    calls: list = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_mine_opens_each_archive_once_and_walks_each_stack_once(
+    classroom_dir, monkeypatch, tmp_path
+):
+    archives = sorted(classroom_dir.iterdir())
+    stacks = sum(len(a.script_roots) for p in load_dataset(classroom_dir) for a in p.actors)
+    assert stacks == len(archives)  # one script per student
+    zip_opens = _counted(monkeypatch, zipfile.ZipFile, "__init__")
+    end_records = _counted(monkeypatch, zipfile, "_EndRecData")  # read by is_zipfile too
+    walks = _counted(monkeypatch, ingest, "stack_shape")
+    assert main(["mine", str(classroom_dir), "--out", str(tmp_path / "report.txt")]) == 0
+    assert len(zip_opens) == len(end_records) == len(archives)
+    assert len(walks) == stacks
+
+
 def test_duplicate_project_stems_disambiguated(tmp_path):
     project = build_project("same", [("Cat", [FIG_SCRIPT])])
     write_project_archive(project, tmp_path / "same.sb3")
     (tmp_path / "same.json").write_bytes(project_payload(project))
     projects = load_dataset(tmp_path)
     assert sorted(p.project_id for p in projects) == ["same", "same#2"]
+
+
+def test_a_renamed_stem_takes_the_first_free_number(tmp_path):
+    for stem, script in [("a", FIG_SCRIPT), ("a#2", FIG_BUGGY_SCRIPT)]:
+        write_project_archive(build_project(stem, [("Cat", [script])]), tmp_path / f"{stem}.sb3")
+    (tmp_path / "a.json").write_bytes(project_payload(build_project("a", [("Cat", [FIG_SCRIPT])])))
+    # a skipped archive's stem is taken too
+    (tmp_path / "b#2.sb3").write_bytes(b"junk")
+    b = build_project("b", [("Cat", [FIG_SCRIPT])])
+    write_project_archive(b, tmp_path / "b.sb3")
+    (tmp_path / "b.json").write_bytes(project_payload(b))
+    projects = load_dataset(tmp_path)
+    assert [p.project_id for p in projects] == ["a#2", "a", "a#3", "b", "b#3"]
+    sets = extract_property_sets(projects)
+    assert [ps.source.project_id for ps in sets if ps.properties != FIG_PROPS] == ["a#2"]
 
 
 def test_non_numeric_coordinate_reads_as_zero_and_spares_the_classroom(tmp_path, capsys):
@@ -596,9 +656,15 @@ _ODD_VALUES = [
     {"SUBSTACK": 3}, {"SUBSTACK": [2]}, {"SUBSTACK": [2, None, None]}, {"proccode": 5},
 ]
 _REFERENCE_SLOTS = ["next", "parent", "SUBSTACK", "SUBSTACK2", "ARG0"]
+# Canvas entries that are not blocks: a loose variable reporter, and junk.
+_LOOSE_ENTRIES = [[12, "score", "var-1", 10, 20], None, "b1", 3]
+_ACTOR_NAMES = ["Stage", "Cat", "Cat#2", "Dog"]
 _BLOCK = st.sampled_from(_FUZZ_BLOCKS)
+_TARGET = st.sampled_from([(t, None) for t in range(len(_FUZZ_DOCUMENT["targets"]))])
 _DOCUMENT_EDITS = st.lists(
     st.one_of(
+        st.tuples(st.just("replace"), _BLOCK, st.sampled_from(_LOOSE_ENTRIES)),
+        st.tuples(st.just("rename"), _TARGET, st.sampled_from(_ACTOR_NAMES)),
         st.tuples(st.just("drop"), _BLOCK, st.sampled_from(_FUZZ_KEYS)),
         st.tuples(st.just("set"), _BLOCK, st.sampled_from(_FUZZ_KEYS), st.sampled_from(_ODD_VALUES)),
         st.tuples(
@@ -615,8 +681,16 @@ def _edited_document(edits) -> dict:
     doc = copy.deepcopy(_FUZZ_DOCUMENT)
     for edit in edits:
         kind, (t, block_id) = edit[0], edit[1]
-        block = doc["targets"][t]["blocks"][block_id]
-        if kind == "drop":
+        target = doc["targets"][t]
+        if kind == "rename":
+            target["name"] = edit[2]
+            continue
+        block = target["blocks"][block_id]
+        if kind == "replace":
+            target["blocks"][block_id] = copy.deepcopy(edit[2])
+        elif not isinstance(block, dict):
+            continue  # a loose entry has no keys to edit
+        elif kind == "drop":
             block.pop(edit[2], None)
         elif kind == "set":
             block[edit[2]] = copy.deepcopy(edit[3])
@@ -665,18 +739,32 @@ def test_fuzzed_documents_fail_only_as_skips(edits):
 @settings(max_examples=300, deadline=None)
 @given(_DOCUMENT_EDITS)
 def test_the_shape_walk_matches_the_walkers_it_replaced(edits):
+    """The loader against the two-pass loader and stack walkers it
+    replaced, on each edited document written as bare JSON and as a
+    deflated .sb3: equal projects, warnings in the same order, or the
+    same error."""
+    doc = _edited_document(edits)
     with tempfile.TemporaryDirectory() as tmp:
-        path = _write_json_project(Path(tmp) / "fuzzed.json", _edited_document(edits))
-        try:
-            expected = naive_load_project(path)
-        except BlockmineError as exc:
-            with pytest.raises(type(exc)) as raised:
-                load_project(path)
-            # Same file, actor and stack; the walk order may name another block.
-            assert str(raised.value).partition("' ")[0] == str(exc).partition("' ")[0]
-            return
-        project = load_project(path)
-    assert project == expected
+        path = _write_json_project(Path(tmp) / "fuzzed.json", doc)
+        archive = Path(tmp) / "fuzzed.sb3"
+        archive.write_bytes(bytes(_zip_bytes(path.read_bytes())))
+        loaded = []
+        for source in (path, archive):
+            try:
+                expected = naive_load_project(source)
+            except BlockmineError as exc:
+                with pytest.raises(type(exc)) as raised:
+                    load_project(source)
+                # Same file, actor and stack; the walk order may name another block.
+                assert str(raised.value).partition("' ")[0] == str(exc).partition("' ")[0]
+                continue
+            loaded.append(load_project(source))
+            assert loaded[-1] == expected  # warnings included, in order
+    if not loaded:
+        return
+    json_project, zip_project = loaded
+    assert zip_project == json_project
+    project = json_project
     scripts = enumerate_scripts(project)
     assert scripts == naive_enumerate_scripts(project)
     models = [build_shape_model(naive_script_shape(s, project), s) for s in scripts]

@@ -30,7 +30,7 @@ from blockmine import (
     sorted_properties,
 )
 from blockmine import report
-from blockmine.model import script_shape
+from blockmine.ingest import stack_shape
 from conftest import (
     FIG_BUGGY_PROPS,
     FIG_DEVIATION,
@@ -232,7 +232,11 @@ def _relabelled(project: RawProject, tag: str, shift: float) -> RawProject:
 
 
 def _shapes(projects):
-    return [script_shape(s, p) for p in projects for s in enumerate_scripts(p)]
+    return [
+        stack_shape(p.actor(s.actor_name), s.root_block)
+        for p in projects
+        for s in enumerate_scripts(p)
+    ]
 
 
 def _assert_shared_exactly_by_shape(projects) -> list:
