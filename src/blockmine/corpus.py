@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, unique
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -329,13 +329,15 @@ def _reparent(
         return
     parent = blocks[parent_id]
     if parent.next == old_child:
-        blocks[parent_id] = replace(parent, next=new_child)
+        blocks[parent_id] = parent._replace(next=new_child)
         return
     if old_child in parent.substacks:
-        blocks[parent_id] = replace(
-            parent,
-            substacks=tuple(new_child if s == old_child else s for s in parent.substacks),
-        )
+        substacks = [new_child if s == old_child else s for s in parent.substacks]
+        while substacks and substacks[-1] is None:
+            # An archive has no input for an empty slot, so a trailing one
+            # does not reload: (b, None) loads back as (b,), and (None,) as ().
+            substacks.pop()
+        blocks[parent_id] = parent._replace(substacks=tuple(substacks))
 
 
 def _mutate_actor_blocks(
@@ -345,7 +347,7 @@ def _mutate_actor_blocks(
 
     if spec.kind is MutationKind.WRONG_BLOCK:
         assert spec.replacement is not None
-        blocks[target.id] = replace(target, opcode=spec.replacement, proccode="")
+        blocks[target.id] = target._replace(opcode=spec.replacement, proccode="")
         return blocks
 
     if spec.kind is MutationKind.MISSING_BLOCK:
@@ -354,8 +356,7 @@ def _mutate_actor_blocks(
         _reparent(blocks, target.parent, target.id, successor)
         if successor is not None and successor in blocks:
             promote = blocks[successor]
-            blocks[successor] = replace(
-                promote,
+            blocks[successor] = promote._replace(
                 parent=target.parent,
                 is_top_level=promote.is_top_level or target.is_top_level,
                 x=target.x if target.is_top_level else promote.x,
@@ -370,19 +371,18 @@ def _mutate_actor_blocks(
         second = blocks[target.next]
         after = second.next
         _reparent(blocks, target.parent, target.id, second.id)
-        blocks[second.id] = replace(
-            second,
+        blocks[second.id] = second._replace(
             parent=target.parent,
             next=target.id,
             is_top_level=target.is_top_level,
             x=target.x,
             y=target.y,
         )
-        blocks[target.id] = replace(
-            target, parent=second.id, next=after, is_top_level=False, x=0.0, y=0.0
+        blocks[target.id] = target._replace(
+            parent=second.id, next=after, is_top_level=False, x=0.0, y=0.0
         )
         if after is not None and after in blocks:
-            blocks[after] = replace(blocks[after], parent=target.id)
+            blocks[after] = blocks[after]._replace(parent=target.id)
         return blocks
 
     if spec.kind is MutationKind.EXTRA_BLOCK:
@@ -394,9 +394,9 @@ def _mutate_actor_blocks(
         blocks[new_id] = RawBlock(
             id=new_id, opcode=spec.replacement, next=successor, parent=target.id
         )
-        blocks[target.id] = replace(target, next=new_id)
+        blocks[target.id] = target._replace(next=new_id)
         if successor is not None and successor in blocks:
-            blocks[successor] = replace(blocks[successor], parent=new_id)
+            blocks[successor] = blocks[successor]._replace(parent=new_id)
         return blocks
 
     raise InvalidConfig(f"unsupported mutation kind: {spec.kind!r}")

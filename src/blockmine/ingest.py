@@ -14,12 +14,13 @@ import json
 import logging
 import lzma
 import math
+import os
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .blocks import PROCEDURE_OPCODES, BlockKind, classify_opcode
 from .errors import ArchiveUnreadable, DatasetEmpty, MalformedProject
@@ -30,13 +31,17 @@ log = logging.getLogger("blockmine")
 _ARCHIVE_SUFFIXES = {".sb3", ".json", ".zip"}
 
 
-@dataclass(frozen=True)
-class RawBlock:
+class RawBlock(NamedTuple):
     """One block as stored in project.json, with inputs abstracted to ids.
 
     substacks holds the body (and else-body) block ids for control blocks;
     reporter_children holds ids of blocks plugged into value inputs. Both
     reference blocks of the same actor or are absent.
+
+    A block is an immutable, hashable NamedTuple, the cheapest record to
+    build once per block at load; copy one with `block._replace(...)`, not
+    dataclasses.replace. It must not change after load: Actor.shapes keeps
+    a walk over the blocks.
     """
 
     id: str
@@ -124,15 +129,17 @@ _ZIP_ERRORS = (zipfile.BadZipFile, OSError, EOFError, ValueError, RuntimeError,
                zlib.error, lzma.LZMAError)
 
 
-# Largest project.json an archive may inflate to. The member is read with
-# this bound, not by its header's size field, which a crafted archive can
-# set to anything; hand-built projects stay far below it.
+# Largest project.json an archive may inflate to, or a bare JSON file may
+# hold. A zip member is read with this bound, not by its header's size
+# field, which a crafted archive can set to anything; hand-built projects
+# stay far below it.
 MAX_PROJECT_BYTES = 64 * 1024 * 1024
 
 
 def _project_document(data: bytes, path: Path) -> dict:
     """The project document of raw archive bytes: the project.json of a zip
-    archive, or else the bytes themselves read as JSON text."""
+    archive, or else the bytes themselves read as JSON text. Either text
+    is capped at MAX_PROJECT_BYTES."""
     try:
         archive = zipfile.ZipFile(io.BytesIO(data))
     except zipfile.BadZipFile as exc:  # no readable end record: try JSON text
@@ -148,11 +155,11 @@ def _project_document(data: bytes, path: Path) -> dict:
             raise MalformedProject(f"{path.name}: archive has no project.json") from None
         except _ZIP_ERRORS as exc:
             raise ArchiveUnreadable(f"{path.name}: broken zip archive: {exc}") from exc
-        if len(text) > MAX_PROJECT_BYTES:
-            raise MalformedProject(
-                f"{path.name}: project.json inflates past {MAX_PROJECT_BYTES} bytes"
-            )
         not_json = MalformedProject(f"{path.name}: project.json is not valid JSON")
+    if len(text) > MAX_PROJECT_BYTES:
+        raise MalformedProject(
+            f"{path.name}: project.json inflates past {MAX_PROJECT_BYTES} bytes"
+        )
     try:
         doc = json.loads(text)
     except ValueError:
@@ -188,9 +195,19 @@ def _parse_inputs(raw_inputs: object) -> tuple[tuple[str | None, ...], tuple[str
     return tuple(slots.values()), tuple(children)
 
 
+# Largest integer magnitude a float holds exactly.
+_EXACT_INT = 2**53
+
+
 def _coordinate(raw: dict, axis: str, owner: str, block_id: object, warnings: list[str]) -> float:
     """A canvas coordinate; anything but a finite number reads as 0 with a warning."""
     value = raw.get(axis, 0) or 0
+    # Fast paths for what the Scratch editor writes; bool, str, huge ints
+    # and everything else take the general conversion below.
+    if type(value) is float and math.isfinite(value):
+        return value
+    if type(value) is int and -_EXACT_INT <= value <= _EXACT_INT:
+        return float(value)
     try:
         coord = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -223,40 +240,46 @@ def _parse_target(target: dict, warnings: list[str]) -> Actor:
     blocks: dict[str, RawBlock] = {}
     repairs: list[str] = []
     for block_id, raw in raw_blocks.items():
-        if not isinstance(raw, dict):
-            # Loose variable/list reporters sit on the canvas as arrays.
-            warnings.append(f"{name}: dropped non-block entry {block_id!r}")
-            continue
         if block_id not in usable:
-            warnings.append(f"{name}: dropped block {block_id!r} without opcode")
+            if isinstance(raw, dict):
+                warnings.append(f"{name}: dropped block {block_id!r} without opcode")
+            else:  # loose variable/list reporters sit on the canvas as arrays
+                warnings.append(f"{name}: dropped non-block entry {block_id!r}")
             continue
-        links = []
-        for key in ("next", "parent"):
-            ref = raw.get(key) if isinstance(raw.get(key), str) else None
-            if ref is not None and ref not in usable:
-                repairs.append(f"{name}: block {block_id!r} {key} -> missing {ref!r}")
-            links.append(ref if ref in usable else None)
+        opcode = raw["opcode"]
+        next_id = raw.get("next")
+        if not isinstance(next_id, str):
+            next_id = None
+        elif next_id not in usable:
+            repairs.append(f"{name}: block {block_id!r} next -> missing {next_id!r}")
+            next_id = None
+        parent_id = raw.get("parent")
+        if not isinstance(parent_id, str):
+            parent_id = None
+        elif parent_id not in usable:
+            repairs.append(f"{name}: block {block_id!r} parent -> missing {parent_id!r}")
+            parent_id = None
         substacks, children = _parse_inputs(raw.get("inputs"))
-        if any(s is not None and s not in usable for s in substacks):
-            repairs.append(f"{name}: block {block_id!r} has a missing substack")
-            substacks = tuple(s if s in usable else None for s in substacks)
-        if any(c not in usable for c in children):
+        if substacks and not usable.issuperset(substacks):  # a missing block or an empty slot
+            kept = tuple(s if s in usable else None for s in substacks)
+            if kept != substacks:
+                repairs.append(f"{name}: block {block_id!r} has a missing substack")
+                substacks = kept
+        if children and not usable.issuperset(children):
             repairs.append(f"{name}: block {block_id!r} references a missing input block")
             children = tuple(c for c in children if c in usable)
-        proccode = _proccode(raw)
-        if not proccode and raw["opcode"] == "procedures_definition":
+        proccode = _proccode(raw) if "mutation" in raw else ""
+        if not proccode and opcode == "procedures_definition":
             # A custom procedure definition carries its name on its prototype.
             for child in children:
                 proccode = _proccode(raw_blocks[child])
                 if proccode:
                     break
         blocks[block_id] = RawBlock(
-            block_id, raw["opcode"], *links, substacks, children,
-            is_top_level=bool(raw.get("topLevel", False)),
-            is_shadow=bool(raw.get("shadow", False)),
-            proccode=proccode,
-            x=_coordinate(raw, "x", name, block_id, warnings),
-            y=_coordinate(raw, "y", name, block_id, warnings),
+            block_id, opcode, next_id, parent_id, substacks, children,
+            bool(raw.get("topLevel", False)), bool(raw.get("shadow", False)), proccode,
+            _coordinate(raw, "x", name, block_id, warnings),
+            _coordinate(raw, "y", name, block_id, warnings),
         )
     warnings.extend(repairs)
     return Actor(name=name, is_stage=bool(target.get("isStage", False)), blocks=blocks,
@@ -304,6 +327,7 @@ def stack_shape(actor: Actor, root_id: str) -> Shape:
     has one parent, and a model of a reference cycle would never end. Also
     raises it when substacks nest deeper than MAX_NESTING.
     """
+    blocks = actor.blocks
     seen: set[str] = set()
     pending: list[tuple[str, int]] = [(root_id, 0)]  # chain roots and their depths
     chains: list[tuple[ShapeBlock, ...]] = []
@@ -313,11 +337,11 @@ def stack_shape(actor: Actor, root_id: str) -> Shape:
                 f"script {root_id!r} nests substacks deeper than {MAX_NESTING} levels"
             )
         chain: list[ShapeBlock] = []
-        while block_id is not None and block_id in actor.blocks:
+        while block_id is not None and block_id in blocks:
             if block_id in seen:
                 raise MalformedProject(f"script {root_id!r} reaches block {block_id!r} twice")
             seen.add(block_id)
-            block = actor.blocks[block_id]
+            block = blocks[block_id]
             slots: list[int | None] = []
             for sub in block.substacks:
                 if sub is None:
@@ -361,8 +385,8 @@ def load_project(path: str | Path) -> RawProject:
 
     Raises ArchiveUnreadable for bytes that are neither a readable zip nor
     JSON, and MalformedProject when the archive exists but holds no usable
-    project, when its project.json inflates past MAX_PROJECT_BYTES (bare
-    JSON has no cap), or when a script reaches one block twice or nests
+    project, when its project.json (zipped or bare) is longer than
+    MAX_PROJECT_BYTES, or when a script reaches one block twice or nests
     its substacks deeper than MAX_NESTING. Other schema violations inside
     a valid project become warning records.
     """
@@ -416,9 +440,9 @@ def iter_dataset(
     d = Path(directory)
     if not d.is_dir():
         raise DatasetEmpty(f"{d}: not a directory")
-    candidates = sorted(
-        f for f in d.iterdir() if f.is_file() and f.suffix.lower() in _ARCHIVE_SUFFIXES
-    )
+    with os.scandir(d) as entries:
+        file_names = sorted(entry.name for entry in entries if entry.is_file())
+    candidates = [f for f in map(d.joinpath, file_names) if f.suffix.lower() in _ARCHIVE_SUFFIXES]
     names = _Names(f.stem for f in candidates)
     for f in candidates:
         try:

@@ -238,14 +238,14 @@ def _parse_target(target: dict, warnings: list[str]) -> Actor:
             changes["reporter_children"] = tuple(
                 c for c in block.reporter_children if c in ids
             )
-        resolved[block_id] = replace(block, **changes) if changes else block
+        resolved[block_id] = block._replace(**changes) if changes else block
 
     for block_id, block in list(resolved.items()):
         if block.opcode == "procedures_definition" and not block.proccode:
             for child in block.reporter_children:
                 proto = resolved.get(child)
                 if proto is not None and proto.proccode:
-                    resolved[block_id] = replace(block, proccode=proto.proccode)
+                    resolved[block_id] = block._replace(proccode=proto.proccode)
                     break
 
     return Actor(name=name, is_stage=is_stage, blocks=resolved, script_roots=())

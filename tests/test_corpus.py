@@ -124,7 +124,7 @@ def test_missing_block_drops_reporters_nested_past_the_recursion_limit():
     parent = move.id
     for depth in range(3000):  # operator_add(operator_add(...)), 3000 deep
         child = f"add{depth}"
-        blocks[parent] = replace(blocks[parent], reporter_children=(child,))
+        blocks[parent] = blocks[parent]._replace(reporter_children=(child,))
         blocks[child] = RawBlock(id=child, opcode="operator_add", parent=parent)
         parent = child
     deep = replace(reference, actors=(
@@ -196,6 +196,16 @@ def test_mutants_round_trip_through_archives(tmp_path):
         loaded = load_project(path)
         assert loaded.warnings == (), f"{spec.kind}: {loaded.warnings}"
         assert _script_opcodes(loaded) == _script_opcodes(mutant)
+
+        # A loaded project mutates by copying blocks, never by changing one.
+        original = tmp_path / "originals" / f"m{i}.sb3"
+        original.parent.mkdir(exist_ok=True)
+        write_project_archive(_fig_project(f"m{i}"), original)
+        source = load_project(original)
+        mutant = apply_mutation(source, spec)
+        assert source == load_project(original) != mutant
+        write_project_archive(mutant, path)
+        assert load_project(path) == mutant, spec.kind
 
 
 def test_mutation_without_candidates_is_rejected():

@@ -38,7 +38,7 @@ from blockmine import (
 )
 from blockmine import ingest
 from blockmine.cli import main
-from blockmine.ingest import MAX_NESTING
+from blockmine.ingest import MAX_NESTING, RawBlock
 from blockmine.model import build_shape_model
 from conftest import FIG_BUGGY_SCRIPT, FIG_PROPS, FIG_SCRIPT, write_classroom
 from oracles import (
@@ -423,6 +423,17 @@ def _repeat_body_continues_into_the_repeat(blocks):
     blocks["b9"]["next"] = "b8"
 
 
+def test_a_coordinate_too_large_for_a_float_reads_as_zero(tmp_path):
+    doc = project_to_document(build_project("huge", [("Cat", [FIG_SCRIPT])]))
+    top_id = next(k for k, b in doc["targets"][1]["blocks"].items() if b["topLevel"])
+    doc["targets"][1]["blocks"][top_id]["x"] = 10**400  # float() overflows on it
+    huge = load_project(_write_json_project(tmp_path / "huge.json", doc))
+    assert huge.actor("Cat").blocks[top_id].x == 0.0
+    assert [w for w in huge.warnings if "coordinate" in w] == [
+        f"Cat: block {top_id!r} x coordinate {10**400!r} is not a number, read as 0"
+    ]
+
+
 def _assert_only_skipped(tmp_path, capsys, name, data):
     """Writing `data` as archive `name` next to a small classroom makes
     that one archive a skip record and leaves the report unchanged."""
@@ -633,6 +644,39 @@ def test_a_project_json_inflating_past_the_cap_skips_only_itself(tmp_path, capsy
         load_project(exact)
 
 
+def test_a_bare_project_json_past_the_cap_skips_only_itself(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ingest, "MAX_PROJECT_BYTES", 1 << 16)
+    big = b'{"targets": [' + b" " * (1 << 16) + b"]}"  # valid JSON, rejected for its size
+    path = tmp_path / "big.json"
+    path.write_bytes(big)
+    with pytest.raises(MalformedProject, match="inflates past"):
+        load_project(path)
+    _assert_only_skipped(tmp_path, capsys, "big.json", big)
+
+    exact = tmp_path / "exact.json"
+    exact.write_bytes(_VALID_PAYLOAD)
+    monkeypatch.setattr(ingest, "MAX_PROJECT_BYTES", len(_VALID_PAYLOAD))
+    assert enumerate_scripts(load_project(exact))
+    monkeypatch.setattr(ingest, "MAX_PROJECT_BYTES", len(_VALID_PAYLOAD) - 1)
+    with pytest.raises(MalformedProject, match="inflates past"):
+        load_project(exact)
+
+
+def test_a_raw_block_is_an_immutable_record(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_bytes(_VALID_PAYLOAD)
+    cat = load_project(path).actor("Cat")
+    block = cat.blocks[cat.script_roots[0]]
+    with pytest.raises(AttributeError):
+        block.opcode = "control_wait"
+    assert hash(block) == hash(RawBlock(*block))
+    moved = block._replace(opcode="control_wait", x=block.x + 1)
+    assert (moved.opcode, moved.x, moved.id) == ("control_wait", block.x + 1, block.id)
+    assert block.opcode == "event_whenflagclicked"  # the original is left as it was
+    assert RawBlock(**block._asdict()) == block != moved
+    assert {block, RawBlock(*block), moved} == {block, moved}
+
+
 # Fuzzing: edits to a valid project document, one block at a time.
 _FUZZ_DOCUMENT = project_to_document(build_project("fuzz", [
     ("Cat", [
@@ -650,10 +694,11 @@ _FUZZ_BLOCKS = [
     for t, target in enumerate(_FUZZ_DOCUMENT["targets"])
     for block_id in sorted(target["blocks"])
 ]
-_FUZZ_KEYS = ["next", "parent", "inputs", "topLevel", "x", "mutation", "opcode", "shadow"]
+_FUZZ_KEYS = ["next", "parent", "inputs", "topLevel", "x", "y", "mutation", "opcode", "shadow"]
 _ODD_VALUES = [
-    None, 0, -1.5, float("inf"), "", "left", True, [], {}, [2], [2, None], [2, 7],
-    {"SUBSTACK": 3}, {"SUBSTACK": [2]}, {"SUBSTACK": [2, None, None]}, {"proccode": 5},
+    None, 0, -1.5, float("inf"), float("nan"), -0.0, 10**400, "", "12", "left", True, [], {},
+    [2], [2, None], [2, 7], {"SUBSTACK": 3}, {"SUBSTACK": [2]}, {"SUBSTACK": [2, None, None]},
+    {"proccode": 5},
 ]
 _REFERENCE_SLOTS = ["next", "parent", "SUBSTACK", "SUBSTACK2", "ARG0"]
 # Canvas entries that are not blocks: a loose variable reporter, and junk.

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -214,8 +213,7 @@ def _relabelled(project: RawProject, tag: str, shift: float) -> RawProject:
     actors = []
     for actor in project.actors:
         blocks = {
-            rename(b.id): replace(
-                b,
+            rename(b.id): b._replace(
                 id=rename(b.id),
                 next=rename(b.next),
                 parent=rename(b.parent),
