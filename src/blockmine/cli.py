@@ -233,11 +233,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    fixed = replace(
-        args.config, min_support=min(args.supports), min_confidence=min(args.confidences)
-    )
     property_sets = extract_property_sets(iter_dataset(args.dataset))
-    cells = parameter_sweep(property_sets, args.supports, args.confidences, fixed)
+    cells = parameter_sweep(property_sets, args.supports, args.confidences, args.config)
     if args.format == "csv":
         _emit(args, sweep_to_csv(cells))
     else:

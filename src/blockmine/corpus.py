@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .blocks import is_menu_opcode
 from .errors import InvalidConfig, OutputUnwritable
-from .ingest import Actor, RawBlock, RawProject, canvas_roots
+from .ingest import Actor, RawBlock, RawProject, _parse_target, canvas_roots
 
 # Fixed zip metadata so archive bytes do not depend on the clock.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
@@ -27,45 +27,23 @@ BlockSpec = str | tuple | list | dict
 ScriptSpec = Sequence[BlockSpec]
 
 
-def _normalize_spec(spec: BlockSpec) -> dict:
+def _read_spec(spec: BlockSpec, parts: tuple[str, ...]) -> dict:
+    """A block or reporter spec as a dict: an opcode string, a sequence of
+    the opcode and then the nested `parts` in order, or a dict. The opcode
+    must be a nonempty string."""
     if isinstance(spec, str):
-        return {"opcode": spec}
-    if isinstance(spec, (tuple, list)):
-        if not spec or not isinstance(spec[0], str):
-            raise InvalidConfig(f"block spec sequence must start with an opcode: {spec!r}")
-        out: dict = {"opcode": spec[0]}
-        if len(spec) > 1:
-            out["body"] = list(spec[1])
-        if len(spec) > 2:
-            out["else_body"] = list(spec[2])
-        if len(spec) > 3:
+        norm = {"opcode": spec}
+    elif isinstance(spec, (tuple, list)):
+        if len(spec) > 1 + len(parts):
             raise InvalidConfig(f"block spec has too many parts: {spec!r}")
-        return out
-    if isinstance(spec, dict):
-        if not isinstance(spec.get("opcode"), str):
-            raise InvalidConfig(f"block spec needs an opcode: {spec!r}")
-        return dict(spec)
-    raise InvalidConfig(f"unsupported block spec: {spec!r}")
-
-
-def _normalize_reporter_spec(spec: BlockSpec) -> dict:
-    """Reporter specs reuse the block spec forms, except that a tuple's
-    second element holds nested reporters (reporters have no body)."""
-    if isinstance(spec, str):
-        return {"opcode": spec}
-    if isinstance(spec, (tuple, list)):
-        if not spec or not isinstance(spec[0], str):
-            raise InvalidConfig(f"reporter spec must start with an opcode: {spec!r}")
-        if len(spec) == 1:
-            return {"opcode": spec[0]}
-        if len(spec) == 2:
-            return {"opcode": spec[0], "reporters": spec[1]}
-        raise InvalidConfig(f"reporter spec has too many parts: {spec!r}")
-    if isinstance(spec, dict):
-        if not isinstance(spec.get("opcode"), str):
-            raise InvalidConfig(f"reporter spec needs an opcode: {spec!r}")
-        return dict(spec)
-    raise InvalidConfig(f"unsupported reporter spec: {spec!r}")
+        norm = dict(zip(("opcode", *parts), spec))
+    elif isinstance(spec, dict):
+        norm = dict(spec)
+    else:
+        raise InvalidConfig(f"unsupported block spec: {spec!r}")
+    if not isinstance(norm.get("opcode"), str) or not norm["opcode"]:
+        raise InvalidConfig(f"block spec needs a nonempty opcode: {spec!r}")
+    return norm
 
 
 def _reporter_specs(norm: dict) -> list[BlockSpec]:
@@ -94,7 +72,7 @@ class _Assembler:
         return f"b{self.counter}"
 
     def add_reporter(self, spec: BlockSpec, parent: str) -> str:
-        norm = _normalize_reporter_spec(spec)
+        norm = _read_spec(spec, ("reporters",))
         block_id = self.new_id()
         children = tuple(
             self.add_reporter(child, block_id) for child in _reporter_specs(norm)
@@ -115,7 +93,7 @@ class _Assembler:
         if isinstance(specs, str):
             # Iterating a bare string would turn each character into a block.
             raise InvalidConfig(f"a script is a sequence of block specs, got the string {specs!r}")
-        norms = [_normalize_spec(s) for s in specs]
+        norms = [_read_spec(s, ("body", "else_body")) for s in specs]
         if not norms:
             return None
         ids = [self.new_id() for _ in norms]
@@ -151,20 +129,20 @@ class _Assembler:
 
 
 def build_actor(name: str, scripts: Sequence[ScriptSpec], *, is_stage: bool = False) -> Actor:
-    """Assemble an actor from script specs.
+    """Assemble an actor from script specs, as the loader reads it back.
 
     A script spec is a list of block specs: a plain opcode string, an
     (opcode, body) or (opcode, body, else_body) sequence for control
     blocks, or a dict with opcode / body / else_body / reporters /
-    proccode / shadow keys for anything fancier.
+    proccode / shadow keys for anything fancier. The assembled blocks go
+    through the loader's reading of a target, so the actor is the one its
+    archive loads as: a definition takes its prototype's name, and a
+    shadow block starts no script.
     """
     assembler = _Assembler()
-    roots = []
     for i, script in enumerate(scripts):
-        root = assembler.add_chain(script, None, top=True, x=0.0, y=float(i * 200))
-        if root is not None:
-            roots.append(root)
-    return Actor(name=name, is_stage=is_stage, blocks=assembler.blocks, script_roots=tuple(roots))
+        assembler.add_chain(script, None, top=True, y=float(i * 200))
+    return _parse_target(_target_document(Actor(name, is_stage, assembler.blocks, ())), [])
 
 
 def build_project(
@@ -181,12 +159,14 @@ def build_project(
 def _block_to_json(block: RawBlock, blocks: Mapping[str, RawBlock]) -> dict:
     inputs: dict[str, list] = {}
     for i, sub in enumerate(block.substacks):
-        if sub is not None:
-            inputs["SUBSTACK" if i == 0 else "SUBSTACK2"] = [2, sub]
+        inputs["SUBSTACK" if i == 0 else "SUBSTACK2"] = [2, sub]
+    # The loader reads value inputs in name order: pad the numbers so that
+    # order is their position (ARG0..ARG9 unpadded, then ARG00..ARG10...).
+    width = len(str(len(block.reporter_children) - 1))
     for i, child_id in enumerate(block.reporter_children):
         child = blocks.get(child_id)
         state = 1 if (child is not None and child.is_shadow) else 2
-        inputs[f"ARG{i}"] = [state, child_id]
+        inputs[f"ARG{i:0{width}d}"] = [state, child_id]
     doc: dict = {
         "opcode": block.opcode,
         "next": block.next,
@@ -210,34 +190,36 @@ def _block_to_json(block: RawBlock, blocks: Mapping[str, RawBlock]) -> dict:
     return doc
 
 
+def _target_document(actor: Actor) -> dict:
+    return {
+        "isStage": actor.is_stage,
+        "name": actor.name,
+        "variables": {},
+        "lists": {},
+        "broadcasts": {},
+        "blocks": {
+            block_id: _block_to_json(block, actor.blocks)
+            for block_id, block in sorted(actor.blocks.items())
+        },
+        "comments": {},
+        "currentCostume": 0,
+        "costumes": [],
+        "sounds": [],
+        "volume": 100,
+    }
+
+
 def project_to_document(project: RawProject) -> dict:
     """Render a project back to the project.json structure.
 
-    Lossless with respect to everything the analysis reads: reloading the
-    written archive reproduces the same actors, blocks, and scripts.
+    Lossless with respect to everything the analysis reads: every
+    substack slot is written, an empty one as [2, null], and value inputs
+    are named so that their name order is their position. A project made
+    by build_project or apply_mutation is therefore the project its
+    written archive loads as, without warnings.
     """
-    targets = []
-    for actor in project.actors:
-        targets.append(
-            {
-                "isStage": actor.is_stage,
-                "name": actor.name,
-                "variables": {},
-                "lists": {},
-                "broadcasts": {},
-                "blocks": {
-                    block_id: _block_to_json(block, actor.blocks)
-                    for block_id, block in sorted(actor.blocks.items())
-                },
-                "comments": {},
-                "currentCostume": 0,
-                "costumes": [],
-                "sounds": [],
-                "volume": 100,
-            }
-        )
     return {
-        "targets": targets,
+        "targets": [_target_document(actor) for actor in project.actors],
         "monitors": [],
         "extensions": [],
         "meta": {"semver": "3.0.0", "vm": "0.0.0", "agent": "blockmine"},
@@ -324,20 +306,22 @@ def _hanging_ids(blocks: Mapping[str, RawBlock], block_id: str) -> set[str]:
 def _reparent(
     blocks: dict[str, RawBlock], parent_id: str | None, old_child: str, new_child: str | None
 ) -> None:
-    """Point whatever referenced old_child (next or substack slot) at new_child."""
+    """Point whatever referenced old_child (next, substack slot or value
+    input) at new_child; a value input with no new_child is dropped."""
     if parent_id is None or parent_id not in blocks:
         return
     parent = blocks[parent_id]
     if parent.next == old_child:
         blocks[parent_id] = parent._replace(next=new_child)
-        return
-    if old_child in parent.substacks:
-        substacks = [new_child if s == old_child else s for s in parent.substacks]
-        while substacks and substacks[-1] is None:
-            # An archive has no input for an empty slot, so a trailing one
-            # does not reload: (b, None) loads back as (b,), and (None,) as ().
-            substacks.pop()
-        blocks[parent_id] = parent._replace(substacks=tuple(substacks))
+    elif old_child in parent.substacks:
+        blocks[parent_id] = parent._replace(substacks=tuple(
+            new_child if s == old_child else s for s in parent.substacks
+        ))
+    elif old_child in parent.reporter_children:
+        children = (new_child if c == old_child else c for c in parent.reporter_children)
+        blocks[parent_id] = parent._replace(
+            reporter_children=tuple(c for c in children if c is not None)
+        )
 
 
 def _mutate_actor_blocks(

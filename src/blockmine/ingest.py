@@ -34,9 +34,14 @@ _ARCHIVE_SUFFIXES = {".sb3", ".json", ".zip"}
 class RawBlock(NamedTuple):
     """One block as stored in project.json, with inputs abstracted to ids.
 
-    substacks holds the body (and else-body) block ids for control blocks;
-    reporter_children holds ids of blocks plugged into value inputs. Both
-    reference blocks of the same actor or are absent.
+    substacks holds the body (and else-body) block ids for control blocks,
+    None for an empty slot; reporter_children holds ids of blocks plugged
+    into value inputs, in input-name order. Both reference blocks of the
+    same actor or are absent. A slot is kept as the archive has it, so
+    (b, None) and (b,) are unequal blocks, but stack_shape leaves trailing
+    empty slots out and so gives them one shape. corpus.project_to_document
+    writes back every field the analysis reads (an empty slot as
+    [2, null]), so a built or mutated block reloads equal.
 
     A block is an immutable, hashable NamedTuple, the cheapest record to
     build once per block at load; copy one with `block._replace(...)`, not
@@ -301,6 +306,7 @@ MAX_NESTING = 500
 # One command block as the model builder reads it: opcode, label detail (the
 # proccode of a procedure block, else ""), and one entry per substack slot:
 # the index of that slot's chain in the shape, or None for an empty slot.
+# Trailing empty slots are left out, so (b, None) and (b,) give one shape.
 ShapeBlock = tuple[str, str, tuple[int | None, ...]]
 # The command chains of a stack; chain 0 is the stack itself.
 Shape = tuple[tuple[ShapeBlock, ...], ...]
@@ -314,7 +320,10 @@ def stack_shape(actor: Actor, root_id: str) -> Shape:
     script_shapes keeps the stacks whose shape holds a block, and the model
     builder reads nothing else. Chains are numbered in breadth-first order
     from the stack itself, and each block names its substacks by chain
-    number, so equal block structures give equal shapes.
+    number, so equal block structures give equal shapes. Trailing empty
+    slots are left out of a block's entry, which the model builder reads
+    as empty: a substack slot written as [2, null] and one left out of the
+    archive are one structure.
     Reporter blocks are left out of their chain; a substack hung under one
     (Scratch never writes it) is still walked and kept as a chain, but no
     slot names it. Block ids, canvas coordinates and what is plugged into
@@ -349,6 +358,8 @@ def stack_shape(actor: Actor, root_id: str) -> Shape:
                 else:
                     slots.append(len(pending))
                     pending.append((sub, depth + 1))
+            while slots and slots[-1] is None:
+                slots.pop()
             if classify_opcode(block.opcode) is not BlockKind.REPORTER:
                 detail = block.proccode if block.opcode in PROCEDURE_OPCODES else ""
                 chain.append((block.opcode, detail, tuple(slots)))

@@ -62,9 +62,8 @@ class ScriptModel:
 class _Continuation:
     """A join location materialized only when some transition targets it."""
 
-    def __init__(self, alloc: Callable[[], int], on_create: Callable[[int], None] | None = None):
+    def __init__(self, alloc: Callable[[], int]):
         self._alloc = alloc
-        self._on_create = on_create
         self._value: int | None = None
 
     @staticmethod
@@ -80,8 +79,6 @@ class _Continuation:
     def get(self) -> int:
         if self._value is None:
             self._value = self._alloc()
-            if self._on_create is not None:
-                self._on_create(self._value)
         return self._value
 
 
@@ -177,10 +174,10 @@ def build_shape_model(shape: Shape, source: ScriptSource | None = None) -> Scrip
         # A script with no command blocks: the entry itself is the exit.
         return ScriptModel(entry, frozenset({entry}), frozenset(), source=source)
 
-    def mark_exit(loc: int) -> None:
-        exits.add(loc)
-
-    walk(chain, entry, _Continuation(alloc, on_create=mark_exit))
+    end = _Continuation(alloc)
+    walk(chain, entry, end)
+    if end.materialized:
+        exits.add(end.get())
     return _canonical(entry, exits, transitions, source)
 
 

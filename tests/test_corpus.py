@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
 import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockmine import (
     Actor,
@@ -324,3 +328,104 @@ def test_corpus_spec_rejects_booleans_as_numbers(tmp_path, spec):
 def test_a_bare_string_script_is_rejected():
     with pytest.raises(InvalidConfig):
         build_project("oops", [("Cat", ["event_whenflagclicked"])])
+    # So is a block or reporter spec with an empty opcode, which the loader
+    # would drop from the archive.
+    for spec in ("", ("", []), {"opcode": ""}):
+        with pytest.raises(InvalidConfig, match="nonempty opcode"):
+            build_project("oops", [("Cat", [["event_whenflagclicked", spec, "looks_show"]])])
+        with pytest.raises(InvalidConfig, match="nonempty opcode"):
+            build_project("oops", [("Cat", [[{"opcode": "looks_say", "reporters": [spec]}]])])
+
+
+# Projects built from specs, for the round trip through an archive.
+_COMMANDS = ("motion_movesteps", "looks_show", "control_wait", "control_stop")
+_REPORTER_OPCODES = ("operator_add", "motion_xposition", "math_number", "sensing_keyoptions")
+_REPORTER = st.sampled_from(_REPORTER_OPCODES) | st.builds(
+    lambda op, shadow: {"opcode": op, "shadow": shadow},
+    st.sampled_from(_REPORTER_OPCODES), st.booleans(),
+)
+_REPORTERS = _REPORTER | st.tuples(st.sampled_from(_REPORTER_OPCODES),
+                                   st.lists(_REPORTER, max_size=2))
+# A custom block named only by its prototype (a shadow in the editor).
+_DEFINITION = st.builds(
+    lambda name, shadow: {"opcode": "procedures_definition", "reporters": [
+        {"opcode": "procedures_prototype", "proccode": name, "shadow": shadow}]},
+    st.sampled_from(["jump %s", "hop"]), st.booleans(),
+)
+_BLOCKS = st.recursive(
+    st.sampled_from(_COMMANDS)
+    | _DEFINITION
+    | st.builds(lambda op, reporters: {"opcode": op, "reporters": reporters},
+                st.sampled_from(_COMMANDS), st.lists(_REPORTERS, max_size=12))
+    | st.builds(lambda name: {"opcode": "procedures_call", "proccode": name},
+                st.sampled_from(["jump %s", "hop"])),
+    lambda inner: st.tuples(st.sampled_from(["control_if", "control_repeat", "control_forever"]),
+                            st.lists(inner, max_size=3))
+    | st.tuples(st.just("control_if_else"), st.lists(inner, max_size=3),
+                st.lists(inner, max_size=3)),
+    max_leaves=8,
+)
+_SCRIPTS = st.one_of(
+    st.lists(_BLOCKS, max_size=4).map(lambda body: ["event_whenflagclicked", *body]),
+    st.lists(_BLOCKS, min_size=1, max_size=3),  # a hatless stack
+    st.builds(lambda op, rest: [{"opcode": op, "shadow": True}, *rest],  # a shadow stack
+              st.sampled_from(_COMMANDS), st.lists(_BLOCKS, max_size=2)),
+    st.lists(_REPORTERS, min_size=1, max_size=1),  # a lone reporter on the canvas
+)
+_SPRITE_SCRIPTS = st.lists(_SCRIPTS, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stage=_SPRITE_SCRIPTS,
+    sprites=st.lists(_SPRITE_SCRIPTS, max_size=2),
+    kind=st.sampled_from(MutationKind),
+    pick=st.integers(min_value=0),
+    replacement=st.sampled_from(_COMMANDS),
+)
+@example(  # an empty else slot
+    stage=[], sprites=[[["event_whenflagclicked", ("control_if_else", ["looks_show"], [])]]],
+    kind=MutationKind.WRONG_BLOCK, pick=0, replacement="looks_show",
+)
+@example(  # a definition named by its prototype
+    stage=[], sprites=[[[{"opcode": "procedures_definition", "reporters": [
+        {"opcode": "procedures_prototype", "proccode": "jump %s"}]}, "looks_show"]]],
+    kind=MutationKind.EXTRA_BLOCK, pick=0, replacement="control_wait",
+)
+@example(  # eleven reporter inputs, whose order ARG10 would break
+    stage=[], sprites=[[["event_whenflagclicked", {
+        "opcode": "looks_show", "reporters": ["operator_add"] * 10 + ["motion_xposition"]}]]],
+    kind=MutationKind.WRONG_BLOCK, pick=12, replacement="control_wait",
+)
+@example(  # missing-block on a reporter (b1 hat, b2 command, b3 reporter)
+    stage=[], sprites=[[["event_whenflagclicked", {
+        "opcode": "looks_show", "reporters": ["operator_add"]}]]],
+    kind=MutationKind.MISSING_BLOCK, pick=2, replacement="looks_show",
+)
+@example(  # a top-level shadow stack
+    stage=[[{"opcode": "looks_show", "shadow": True}, "control_wait"]], sprites=[],
+    kind=MutationKind.WRONG_ORDER, pick=0, replacement="looks_show",
+)
+@example(  # missing-block empties a body slot (b1 hat, b2 if, b3 body)
+    stage=[], sprites=[[["event_whenflagclicked", ("control_if", ["looks_show"])]]],
+    kind=MutationKind.MISSING_BLOCK, pick=2, replacement="looks_show",
+)
+def test_built_and_mutated_projects_reload_equal(stage, sprites, kind, pick, replacement):
+    """A built project, and one mutant of it, is the project its archive
+    loads as, without warnings, written as .sb3 and as bare JSON."""
+    built = build_project("built", [(f"S{i}", s) for i, s in enumerate(sprites)], stage)
+    candidates = sorted(
+        block.id for actor in built.actors for block in actor.blocks.values()
+        if not block.is_shadow and (kind is not MutationKind.WRONG_ORDER or block.next)
+    )
+    projects = [built]
+    if candidates:
+        spec = MutationSpec(kind, candidates[pick % len(candidates)], replacement)
+        projects.append(replace(apply_mutation(built, spec), project_id="mutant"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for project in projects:
+            for suffix in (".sb3", ".json"):
+                path = write_project_archive(project, Path(tmp) / f"{project.project_id}{suffix}")
+                loaded = load_project(path)
+                assert loaded.warnings == ()
+                assert loaded == project

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,7 @@ from blockmine import (
     format_properties,
     generate_corpus,
     load_dataset,
+    project_to_document,
     properties_to_dot,
     props,
     reachability,
@@ -337,6 +339,24 @@ def test_scripts_differing_only_outside_the_block_structure_share_one_entry(buil
     sets = _assert_shared_exactly_by_shape(variants)
     assert all(ps.properties is sets[0].properties for ps in sets)
     assert sets[0].properties == FIG_PROPS
+    assert builds == {"build": 1, "props": 1}
+
+
+def test_an_omitted_and_an_explicit_empty_slot_share_one_entry(tmp_path, builds):
+    """One if-else with an empty else, in two archives: one leaves the
+    empty slot out, the other writes it as [2, null]."""
+    doc = project_to_document(build_project("p", [("Cat", [
+        ["event_whenflagclicked", ("control_if_else", [MOVE], [])],
+    ])]))
+    (if_else,) = (block for target in doc["targets"] for block in target["blocks"].values()
+                  if block["opcode"] == "control_if_else")
+    if_else["inputs"].pop("SUBSTACK2", None)
+    (tmp_path / "omitted.json").write_text(json.dumps(doc))
+    if_else["inputs"]["SUBSTACK2"] = [2, None]
+    (tmp_path / "explicit.json").write_text(json.dumps(doc))
+    projects = load_dataset(tmp_path)
+    assert [p.block_count() for p in projects] == [3, 3]
+    _assert_shared_exactly_by_shape(projects)
     assert builds == {"build": 1, "props": 1}
 
 
