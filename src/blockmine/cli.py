@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .anomalies import parameter_sweep
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     OutputUnwritable,
 )
 from .corpus import generate_corpus, load_corpus_spec
-from .ingest import iter_dataset, load_project
+from .ingest import ProjectScripts, iter_project_scripts, load_project, usable_cpus
 from .mining import MiningConfig, PRESETS, as_confidence
 from .report import (
     AnomalyReport,
@@ -112,8 +112,8 @@ _OPTIONS = {
                 field="min_pattern_size"),
         _Option("max_deviation", int, "largest deviation reported", "N",
                 field="max_deviation_level"),
-        _Option("jobs", int, "accepted for compatibility; extraction is serial", "N",
-                default=1, minimum=1),
+        _Option("jobs", int, "most processes that load archives; only large classrooms fork",
+                "N", default=usable_cpus(), minimum=1),
         _Option("top", int, "how many anomalies to report", "N", default=10, minimum=0),
         _Option("supports", _supports, "comma-separated supports", "LIST",
                 default="1,5,10,15,20"),
@@ -198,8 +198,12 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         _write_text(Path(args.out), text)
 
 
+def _projects(args: argparse.Namespace) -> Iterator[ProjectScripts]:
+    return iter_project_scripts(args.dataset, jobs=args.jobs)
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
-    stats = analyze_dataset(iter_dataset(args.dataset), args.config).stats
+    stats = analyze_dataset(_projects(args), args.config).stats
     if args.format == "json":
         _emit(args, document_to_json(stats_to_document(stats)))
     else:
@@ -210,7 +214,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_extract_models(args: argparse.Namespace) -> int:
     if args.out is None:
         raise InvalidConfig("extract-models needs --out DIRECTORY")
-    artifacts = model_artifacts(extract_models(iter_dataset(args.dataset)), fmt=args.format)
+    artifacts = model_artifacts(extract_models(_projects(args)), fmt=args.format)
     _write_artifacts(Path(args.out), artifacts)
     sys.stdout.write(f"wrote {len(artifacts)} model files to {args.out}\n")
     return 0
@@ -219,7 +223,7 @@ def cmd_extract_models(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     if args.format == "dot" and args.out is None:
         raise InvalidConfig("mine --format dot needs --out DIRECTORY")
-    result = analyze_dataset(iter_dataset(args.dataset), args.config)
+    result = analyze_dataset(_projects(args), args.config)
     report = AnomalyReport(dataset=str(args.dataset), config=args.config, result=result)
     if args.format == "text":
         _emit(args, report_to_text(report, top=args.top))
@@ -233,7 +237,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    property_sets = extract_property_sets(iter_dataset(args.dataset))
+    property_sets = extract_property_sets(_projects(args))
     cells = parameter_sweep(property_sets, args.supports, args.confidences, args.config)
     if args.format == "csv":
         _emit(args, sweep_to_csv(cells))

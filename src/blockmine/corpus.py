@@ -8,6 +8,7 @@ and seeds give byte-identical archives.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import zipfile
@@ -232,6 +233,26 @@ def project_payload(project: RawProject) -> bytes:
     ).encode("utf-8")
 
 
+def _zipped(payload: bytes) -> bytes:
+    """An archive holding `payload` as project.json. The entry carries a
+    fixed timestamp, so identical content means identical bytes."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
+        info = zipfile.ZipInfo("project.json", date_time=_ZIP_EPOCH)
+        info.compress_type = zipfile.ZIP_DEFLATED
+        info.external_attr = 0o644 << 16
+        zf.writestr(info, payload)
+    return buffer.getvalue()
+
+
+def _write_bytes(path: Path, data: bytes) -> Path:
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        raise OutputUnwritable(f"{path}: {exc}") from exc
+    return path
+
+
 def write_project_archive(project: RawProject, path: str | Path) -> Path:
     """Write a loadable archive; .sb3/.zip get a zip wrapper, .json is bare.
 
@@ -240,18 +261,7 @@ def write_project_archive(project: RawProject, path: str | Path) -> Path:
     """
     p = Path(path)
     payload = project_payload(project)
-    try:
-        if p.suffix.lower() == ".json":
-            p.write_bytes(payload)
-        else:
-            with zipfile.ZipFile(p, "w", zipfile.ZIP_DEFLATED) as zf:
-                info = zipfile.ZipInfo("project.json", date_time=_ZIP_EPOCH)
-                info.compress_type = zipfile.ZIP_DEFLATED
-                info.external_attr = 0o644 << 16
-                zf.writestr(info, payload)
-    except OSError as exc:
-        raise OutputUnwritable(f"{p}: {exc}") from exc
-    return p
+    return _write_bytes(p, payload if p.suffix.lower() == ".json" else _zipped(payload))
 
 
 @unique
@@ -441,9 +451,8 @@ def generate_corpus(
     except OSError as exc:
         raise OutputUnwritable(f"{out}: {exc}") from exc
 
-    written: list[Path] = []
-    for i in range(n_correct):
-        written.append(write_project_archive(reference, out / f"correct_{i:03d}.sb3"))
+    clone = _zipped(project_payload(reference))  # rendered and deflated once
+    written = [_write_bytes(out / f"correct_{i:03d}.sb3", clone) for i in range(n_correct)]
     for j, spec in enumerate(mutations):
         mutant = apply_mutation(reference, spec)
         name = f"mutant_{j:03d}_{spec.kind.value.replace('-', '_')}.sb3"

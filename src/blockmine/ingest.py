@@ -5,6 +5,14 @@ inside); bare project.json files are accepted too. Loading is defensive:
 one malformed archive must never take down the rest of a classroom's
 submissions, and schema oddities inside a project degrade to warning
 records instead of aborting the project.
+
+A dataset is scanned in filename order, one archive at a time.
+iter_dataset yields each RawProject. iter_project_scripts yields only
+what the analysis reads of a project (ProjectScripts). For a large
+classroom it loads slices of the archives in forked worker processes,
+which send those summaries back through pipes. Skips, renames and
+DatasetEmpty are decided in the calling process by one scan loop, so
+both scans see the same projects in the same order.
 """
 
 from __future__ import annotations
@@ -18,12 +26,12 @@ import os
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
 from .blocks import PROCEDURE_OPCODES, BlockKind, classify_opcode
-from .errors import ArchiveUnreadable, DatasetEmpty, MalformedProject
+from .errors import ArchiveUnreadable, BlockmineError, DatasetEmpty, MalformedProject
 
 log = logging.getLogger("blockmine")
 
@@ -439,8 +447,8 @@ def iter_dataset(
 ) -> Iterator[RawProject]:
     """Load the archives of a directory one at a time, in filename order.
 
-    This is the one scan over a dataset: each project is parsed when the
-    caller asks for it, so a caller that keeps only what it derives from a
+    Each project is parsed in this process when the caller asks for it,
+    so a caller that keeps only what it derives from a
     project holds one RawProject at a time. An archive that cannot be used
     is logged, appended to `skips` when that list is given, and passed
     over. Filename stems can collide across suffixes (a.sb3 and a.json):
@@ -448,25 +456,8 @@ def iter_dataset(
     or earlier id uses. Raises DatasetEmpty, when iterated, for a path that
     is not a directory, and after the last archive when none could be loaded.
     """
-    d = Path(directory)
-    if not d.is_dir():
-        raise DatasetEmpty(f"{d}: not a directory")
-    with os.scandir(d) as entries:
-        file_names = sorted(entry.name for entry in entries if entry.is_file())
-    candidates = [f for f in map(d.joinpath, file_names) if f.suffix.lower() in _ARCHIVE_SUFFIXES]
-    names = _Names(f.stem for f in candidates)
-    for f in candidates:
-        try:
-            project = load_project(f)
-        except (ArchiveUnreadable, MalformedProject) as exc:
-            log.warning("skipping %s: %s", f.name, exc)
-            if skips is not None:
-                skips.append(SkipRecord(path=f, reason=str(exc)))
-            continue
-        name = names.claim(project.project_id)
+    for name, project in _scan(directory, skips, partial(_load_each, load_project)):
         yield project if name == project.project_id else replace(project, project_id=name)
-    if not names.claimed:
-        raise DatasetEmpty(f"{d}: no loadable project archives")
 
 
 def scan_dataset(directory: str | Path) -> tuple[list[RawProject], list[SkipRecord]]:
@@ -503,3 +494,240 @@ def script_shapes(project: RawProject) -> list[tuple[ScriptSource, Shape]]:
 def enumerate_scripts(project: RawProject) -> list[ScriptSource]:
     """The scripts of a project, as script_shapes finds and orders them."""
     return [script for script, _ in script_shapes(project)]
+
+
+class ProjectScripts(NamedTuple):
+    """What the analysis reads of one project: its id, its number of real
+    blocks and of sprites, and the (script, shape) pairs of script_shapes.
+    It is small and picklable, so a worker process sends it in place of
+    the project."""
+
+    project_id: str
+    blocks: int
+    sprites: int
+    scripts: tuple[tuple[ScriptSource, Shape], ...]
+
+    def renamed(self, project_id: str) -> ProjectScripts:
+        scripts = tuple((replace(s, project_id=project_id), shape) for s, shape in self.scripts)
+        return self._replace(project_id=project_id, scripts=scripts)
+
+
+def project_scripts(project: RawProject) -> ProjectScripts:
+    """The ProjectScripts of a loaded project."""
+    return ProjectScripts(
+        project.project_id, project.block_count(), len(project.sprites),
+        tuple(script_shapes(project)),
+    )
+
+
+# An archive and what loading it gave: its project or summary, or the
+# error that makes the scan pass over it.
+_Loaded = tuple[Path, RawProject | ProjectScripts | BlockmineError]
+
+
+def _load_each(
+    load: Callable[[Path], RawProject | ProjectScripts], files: Iterable[Path]
+) -> Generator[_Loaded, None, None]:
+    """(path, load(path)) for each path in order; the error in place of
+    the result for an archive that cannot be used."""
+    for f in files:
+        try:
+            loaded = load(f)
+        except (ArchiveUnreadable, MalformedProject) as exc:
+            loaded = exc
+        yield f, loaded
+
+
+def _scan(
+    directory: str | Path,
+    skips: list[SkipRecord] | None,
+    load_all: Callable[[list[Path]], Generator[_Loaded, None, None]],
+) -> Iterator[tuple[str, RawProject | ProjectScripts]]:
+    """The one scan loop over a dataset: (unique project id, loaded) for
+    each archive that loads, in filename order. `load_all` gets every
+    candidate file and yields _load_each's pairs for them, in that order.
+    Skips, renames and DatasetEmpty are decided here, as iter_dataset
+    describes."""
+    d = Path(directory)
+    if not d.is_dir():
+        raise DatasetEmpty(f"{d}: not a directory")
+    with os.scandir(d) as entries:
+        file_names = sorted(entry.name for entry in entries if entry.is_file())
+    candidates = [f for f in map(d.joinpath, file_names) if f.suffix.lower() in _ARCHIVE_SUFFIXES]
+    names = _Names(f.stem for f in candidates)
+    outcomes = load_all(candidates)
+    try:
+        for f, loaded in outcomes:
+            if isinstance(loaded, BlockmineError):
+                log.warning("skipping %s: %s", f.name, loaded)
+                if skips is not None:
+                    skips.append(SkipRecord(path=f, reason=str(loaded)))
+                continue
+            yield names.claim(loaded.project_id), loaded
+    finally:
+        outcomes.close()
+    if not names.claimed:
+        raise DatasetEmpty(f"{d}: no loadable project archives")
+
+
+# Fewest archives worth a process of their own. A worker costs a fork
+# (1 to 6 ms), a pickle of its slice's shapes and about 16 MB of resident
+# memory while it runs, and small archives load in about 0.25 ms each. On
+# two shared x86_64 vCPUs, 500 one-script archives loaded in 0.14 s in one
+# process and 0.09 s in two, and 100 in 25 ms in one and 33 ms in two.
+MIN_ARCHIVES_PER_PROCESS = 250
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _process_count(jobs: int, archives: int) -> int:
+    """How many processes load `archives` archives: at most `jobs`, one
+    per usable CPU and one per MIN_ARCHIVES_PER_PROCESS archives. One,
+    this process alone, where os.fork is missing or another thread runs:
+    a forked child gets a copy of the locks other threads hold."""
+    count = min(jobs, usable_cpus(), archives // MIN_ARCHIVES_PER_PROCESS)
+    if count <= 1 or not hasattr(os, "fork"):
+        return 1
+    import threading
+
+    return count if threading.active_count() == 1 else 1
+
+
+def _load_scripts(path: Path) -> ProjectScripts:
+    return project_scripts(load_project(path))
+
+
+def _serve(files: list[Path], fd: int) -> NoReturn:
+    """The body of a forked worker: load `files` as _load_each does and
+    write (the outcomes, the failure or None) to the pipe `fd`, pickled.
+    The outcomes stop at the archive whose load raised the failure, an
+    exception other than a skip; a failure that does not pickle is sent
+    as its description. Equal shapes are sent as one object, so each is
+    pickled once. Never returns: the worker leaves by os._exit, so none
+    of the parent's cleanup runs twice."""
+    import pickle
+
+    status = 1
+    try:
+        outcomes: list[ProjectScripts | BlockmineError] = []
+        failure: BaseException | str | None = None
+        shapes: dict[Shape, Shape] = {}
+        try:
+            for _, loaded in _load_each(_load_scripts, files):
+                if isinstance(loaded, ProjectScripts):
+                    loaded = loaded._replace(scripts=tuple(
+                        (script, shapes.setdefault(shape, shape)) for script, shape in loaded.scripts
+                    ))
+                outcomes.append(loaded)
+        except BaseException as exc:  # sent to the parent, which raises it
+            failure = exc
+        try:
+            data = pickle.dumps((outcomes, failure), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            failure = f"{failure!r}, which cannot be sent back ({exc!r})"
+            data = pickle.dumps((outcomes, failure), pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _Worker:
+    """A forked child process that loads a slice of a dataset's archives."""
+
+    def __init__(self, files: list[Path]) -> None:
+        import pickle  # noqa: F401  (loaded before the fork, so no child imports it)
+
+        self.files = files
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if pid == 0:
+            try:
+                os.close(read_fd)
+            finally:
+                _serve(files, write_fd)
+        os.close(write_fd)
+        self.pid: int | None = pid
+        self.pipe = open(read_fd, "rb")
+
+    def results(self) -> Iterator[_Loaded]:
+        """_load_each's pairs for the slice, once the child has sent them
+        all and been reaped. Raises the child's failure after the pairs
+        before it; a RuntimeError naming the slice when the child died or
+        its failure cannot be rebuilt here."""
+        import pickle
+
+        with self.pipe:
+            data = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        where = f"worker loading {self.files[0].name} to {self.files[-1].name}"
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise RuntimeError(f"{where} died with exit status {code}")
+        try:
+            outcomes, failure = pickle.loads(data)  # bytes that the child wrote
+        except Exception as exc:
+            raise RuntimeError(f"{where} failed, and its failure cannot be read: {exc!r}") from exc
+        yield from zip(self.files, outcomes)
+        if isinstance(failure, BaseException):
+            raise failure
+        if failure is not None:
+            raise RuntimeError(f"{where} failed: {failure}")
+
+    def stop(self) -> None:
+        """Close the pipe; end and reap the child unless results() has."""
+        self.pipe.close()
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _scripts_of(files: list[Path], jobs: int) -> Generator[_Loaded, None, None]:
+    """_load_each's pairs for project_scripts(load_project(f)), loaded in
+    up to `jobs` processes. The files are cut into one contiguous slice
+    per process; this process loads the first, a forked _Worker each
+    other. Every worker is reaped before this returns or raises."""
+    processes = _process_count(jobs, len(files))
+    bounds = [len(files) * k // processes for k in range(processes + 1)]
+    workers: list[_Worker] = []
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            workers.append(_Worker(files[start:stop]))
+        yield from _load_each(_load_scripts, files[: bounds[1]])
+        for worker in workers:
+            yield from worker.results()
+    finally:
+        for worker in workers:
+            worker.stop()
+
+
+def iter_project_scripts(
+    directory: str | Path, skips: list[SkipRecord] | None = None, jobs: int = 1
+) -> Iterator[ProjectScripts]:
+    """The ProjectScripts of each project iter_dataset would load, with
+    the same ids and skips, logged and recorded in the same order, and
+    DatasetEmpty raised as it does. The archives are loaded by at most
+    `jobs` processes, one per usable CPU and per MIN_ARCHIVES_PER_PROCESS
+    archives; each loads a contiguous slice with load_project, so an
+    archive loads, fails or is skipped as it would in this process. An
+    exception other than a skip is raised here, with its type, once every
+    worker is reaped.
+    """
+    for name, scripts in _scan(directory, skips, partial(_scripts_of, jobs=jobs)):
+        yield scripts if name == scripts.project_id else scripts.renamed(name)

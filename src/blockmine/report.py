@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from . import __version__
 from .anomalies import Anomaly, DeviationClasses, SweepCell, Violation
 from .blocks import table_version
-from .ingest import RawProject, ScriptSource, Shape, script_shapes
+from .ingest import ProjectScripts, RawProject, ScriptSource, Shape, project_scripts
 from .mining import MiningConfig, Pattern, mine_vocabulary
 from .model import ScriptModel, build_shape_model, model_to_document, model_to_dot
 from .properties import (
@@ -35,22 +35,33 @@ from .properties import (
 T = TypeVar("T")
 
 
+# A project as the analysis takes it: loaded, or as the summary
+# ingest.iter_project_scripts yields.
+Project = RawProject | ProjectScripts
+
+
+def _summaries(projects: Iterable[Project]) -> Iterator[ProjectScripts]:
+    for project in projects:
+        yield project if isinstance(project, ProjectScripts) else project_scripts(project)
+
+
 def _per_shape(
-    projects: Iterable[RawProject], derive: Callable[[Shape], T]
+    projects: Iterable[Project], derive: Callable[[Shape], T]
 ) -> Iterator[tuple[ScriptSource, T]]:
     """(script, derive(shape)) for every script, in dataset order, with
     derive called once per distinct script shape."""
     known: dict[Shape, T] = {}
-    for project in projects:
-        for script, shape in script_shapes(project):
+    for project in _summaries(projects):
+        for script, shape in project.scripts:
             value = known.get(shape)
             if value is None:
                 value = known[shape] = derive(shape)
             yield script, value
 
 
-def extract_models(projects: Iterable[RawProject]) -> list[ScriptModel]:
-    """One model per script, in dataset order, in one pass over `projects`.
+def extract_models(projects: Iterable[Project]) -> list[ScriptModel]:
+    """One model per script, in dataset order, in one pass over `projects`
+    (RawProjects, or the ProjectScripts of ingest.iter_project_scripts).
 
     Each distinct script shape (the block structure a model is built from)
     is modelled once, and the scripts of one shape get copies of that
@@ -63,9 +74,9 @@ def extract_models(projects: Iterable[RawProject]) -> list[ScriptModel]:
     ]
 
 
-def extract_property_sets(projects: Iterable[RawProject]) -> list[PropertySet]:
+def extract_property_sets(projects: Iterable[Project]) -> list[PropertySet]:
     """One property set per script, in dataset order, in one pass over
-    `projects`.
+    `projects` (RawProjects, or ProjectScripts).
 
     Each distinct script shape is modelled once, and its properties are
     taken once: the scripts of one shape share one frozenset of
@@ -114,12 +125,12 @@ class _Census:
     def __init__(self) -> None:
         self.projects = self.blocks = self.sprites = 0
 
-    def count(self, projects: Iterable[RawProject]) -> Iterator[RawProject]:
-        for project in projects:
+    def count(self, projects: Iterable[Project]) -> Iterator[ProjectScripts]:
+        for summary in _summaries(projects):
             self.projects += 1
-            self.blocks += project.block_count()
-            self.sprites += len(project.sprites)
-            yield project
+            self.blocks += summary.blocks
+            self.sprites += summary.sprites
+            yield summary
 
     def stats(
         self,
@@ -142,7 +153,7 @@ class _Census:
 
 
 def compute_stats(
-    projects: Iterable[RawProject],
+    projects: Iterable[Project],
     property_sets: Sequence[PropertySet],
     patterns: Sequence[Pattern],
     violations: Sequence[Violation],
@@ -154,13 +165,14 @@ def compute_stats(
     return census.stats(property_sets, patterns, violations, anomalies)
 
 
-def analyze_dataset(projects: Iterable[RawProject], config: MiningConfig) -> AnalysisResult:
+def analyze_dataset(projects: Iterable[Project], config: MiningConfig) -> AnalysisResult:
     """Run the whole pipeline in one pass over `projects`.
 
-    `projects` may be any iterable, such as `iter_dataset`'s generator: the
-    stats are counted in the same pass that takes each script's shape, and
-    no project is kept after that, so a streamed classroom is never held
-    in memory as a whole.
+    `projects` may be any iterable of RawProjects or ProjectScripts, such
+    as `iter_dataset`'s or `iter_project_scripts`'s generator: the stats
+    are counted in the same pass that takes each script's shape, and no
+    project is kept after that, so a streamed classroom is never held in
+    memory as a whole.
     """
     census = _Census()
     property_sets = extract_property_sets(census.count(projects))

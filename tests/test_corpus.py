@@ -246,8 +246,9 @@ def test_same_seed_same_choice():
 
 def test_generate_corpus_writes_expected_files(tmp_path):
     out = tmp_path / "corpus"
+    reference = _fig_project()
     written = generate_corpus(
-        _fig_project(),
+        reference,
         3,
         [
             MutationSpec(MutationKind.WRONG_BLOCK, "motion_movesteps", "motion_gotoxy", 1),
@@ -265,6 +266,10 @@ def test_generate_corpus_writes_expected_files(tmp_path):
     ]
     for path in written:
         assert load_project(path).block_count() > 0
+    # The clones are one rendered archive written n times: the bytes that
+    # write_project_archive writes for the reference.
+    clone = write_project_archive(reference, tmp_path / "reference.sb3").read_bytes()
+    assert [p.read_bytes() == clone for p in written] == [True, True, True, False, False]
 
 
 def test_load_corpus_spec(tmp_path):

@@ -443,10 +443,10 @@ def test_cli_bad_variable_is_named_before_the_dataset_is_read(
     ],
 )
 def test_cli_config_error_stops_before_the_dataset_is_read(tmp_path, capsys, monkeypatch, argv):
-    def iter_dataset(directory):
+    def iter_project_scripts(directory, skips=None, jobs=1):
         raise AssertionError("the dataset was read")
 
-    monkeypatch.setattr("blockmine.cli.iter_dataset", iter_dataset)
+    monkeypatch.setattr("blockmine.cli.iter_project_scripts", iter_project_scripts)
     assert main([argv[0], str(tmp_path), *argv[1:]]) == 1
     assert "configuration error" in capsys.readouterr().err
 
