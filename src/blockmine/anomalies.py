@@ -9,8 +9,9 @@ not counted as violators: there is nothing half-followed to point at.
 
 Scripts with one property set deviate alike, so violations are counted per
 deviation class over the distinct property sets, in the integer form of
-`properties.Vocabulary`; a Violation or Anomaly object is built only when
-something reads it.
+`properties.Vocabulary`. A class is three numbers, so memory grows with the
+classes, not with the violating scripts; its scripts are found, and a
+Violation or Anomaly object built, only when something reads them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import InvalidConfig
 from .ingest import ScriptSource
@@ -67,11 +68,10 @@ class Anomaly:
 
 @dataclass(frozen=True, eq=False)
 class _DeviationClass:
-    """The scripts whose deviation from one pattern is one property set."""
+    """How many scripts deviate from one pattern by one property set."""
 
     pattern: int  # index into the checked patterns
     deviation: int  # property mask
-    units: tuple[int, ...]  # script groups: distinct property sets, or violations
     weight: int  # number of scripts
 
 
@@ -114,7 +114,8 @@ class DeviationClasses:
     A pattern is only checked when it has at least min_pattern_size
     properties; a script violates it when it misses between 1 and
     max_deviation_level of its properties and satisfies at least one.
-    Each pattern is compared with the distinct property sets only.
+    Each pattern is compared with the distinct property sets only; a
+    class's sets are found again from `Vocabulary.item_tids` when read.
     """
 
     def __init__(self, patterns: Sequence[Pattern], vocab: Vocabulary, config: MiningConfig):
@@ -122,28 +123,23 @@ class DeviationClasses:
         self.patterns = [p for p in patterns if p.size >= config.min_pattern_size]
         self.pattern_masks = [vocab.mask(p.properties) for p in self.patterns]
         self.classes: list[_DeviationClass] = []
+        weights = [len(g) for g in vocab.groups]
         for j, p in enumerate(self.pattern_masks):
-            by_deviation: dict[int, list[int]] = {}
-            for k, s in enumerate(vocab.masks):
+            by_deviation: dict[int, int] = {}
+            for s, weight in zip(vocab.masks, weights):
                 deviation = p & ~s
                 if deviation and p & s and deviation.bit_count() <= config.max_deviation_level:
-                    by_deviation.setdefault(deviation, []).append(k)
-            for deviation, units in by_deviation.items():
-                weight = sum(len(vocab.groups[k]) for k in units)
-                self.classes.append(_DeviationClass(j, deviation, tuple(units), weight))
+                    by_deviation[deviation] = by_deviation.get(deviation, 0) + weight
+            self.classes.extend(_DeviationClass(j, d, w) for d, w in by_deviation.items())
 
     def violations(self) -> Sequence[Violation]:
         """Pattern by pattern, and in dataset order within a pattern."""
         by_pattern: list[list[_DeviationClass]] = [[] for _ in self.patterns]
         for c in self.classes:
             by_pattern[c.pattern].append(c)
-        groups = self.vocab.groups
 
         def build(j: int, start: int) -> list[Violation]:
-            members = [
-                (position, c) for c in by_pattern[j] for k in c.units for position in groups[k]
-            ]
-            return self._build_violations(sorted(members, key=itemgetter(0)))
+            return self._build_violations(self._members(by_pattern[j]))
 
         return _LazySequence((sum(c.weight for c in cs) for cs in by_pattern), build)
 
@@ -152,16 +148,30 @@ class DeviationClasses:
         ranked = _confident_groups(self.classes, [p.support for p in self.patterns], min_confidence)
 
         def build(g: int, start: int) -> list[Anomaly]:
-            order = _group_order(
-                ranked[g], self._pattern_ranks, self.vocab.groups, self._ident_ranks
-            )
-            violations = self._build_violations((position, c) for position, c, _ in order)
+            confidence, group = ranked[g]
+            order = _group_order(group, self._members(group), self._pattern_ranks, self._ident_ranks)
+            violations = self._build_violations(order)
             return [
                 Anomaly(violation, confidence, c.weight, start + i + 1)
-                for i, (violation, (_, c, confidence)) in enumerate(zip(violations, order))
+                for i, (violation, (_, c)) in enumerate(zip(violations, order))
             ]
 
-        return _LazySequence((sum(c.weight for c, _ in group) for group in ranked), build)
+        return _LazySequence((sum(c.weight for c in group) for _, group in ranked), build)
+
+    def _members(self, classes: Iterable[_DeviationClass]) -> list[tuple[int, _DeviationClass]]:
+        """(script position, class) for every script of `classes`, by
+        position. A class's sets hold the items of its pattern outside its
+        deviation, and none inside."""
+        item_tids, groups = self.vocab.item_tids, self.vocab.groups
+        every = (1 << len(groups)) - 1
+        members = []
+        for c in classes:
+            tids = every
+            for i in bits(self.pattern_masks[c.pattern]):
+                tids &= ~item_tids[i] if c.deviation >> i & 1 else item_tids[i]
+            members.extend((position, c) for k in bits(tids) for position in groups[k])
+        members.sort(key=itemgetter(0))
+        return members
 
     @cached_property
     def _pattern_ranks(self) -> list[int]:
@@ -171,9 +181,7 @@ class DeviationClasses:
     def _ident_ranks(self) -> list[int]:
         return _dense_ranks([s.ident for s in self.vocab.scripts])
 
-    def _build_violations(
-        self, members: Iterable[tuple[int, _DeviationClass]]
-    ) -> list[Violation]:
+    def _build_violations(self, members: Iterable[tuple[int, _DeviationClass]]) -> list[Violation]:
         """One Violation per (script position, class); a class's property
         sets are decoded once."""
         decoded: dict[_DeviationClass, tuple[Pattern, frozenset, frozenset]] = {}
@@ -200,56 +208,53 @@ def _dense_ranks(keys: Sequence) -> list[int]:
 
 
 def _confident_groups(
-    classes: Sequence[_DeviationClass], supports: Sequence[int], min_confidence: Fraction
-) -> list[list[tuple[_DeviationClass, Fraction]]]:
+    classes: Collection[_DeviationClass], supports: Sequence[int], min_confidence: Fraction
+) -> list[tuple[Fraction, list[_DeviationClass]]]:
     """The classes whose confidence support / (support + weight) reaches
     min_confidence, grouped by (confidence, support, deviation size) and
     ordered by confidence descending, support descending, size ascending.
 
     A confidence is computed once per (support, weight) pair; one support
     with two weights gives two confidences, so ranking the pairs ranks
-    (confidence, support)."""
+    (confidence, support), and a group has one confidence, given with it."""
     confidence = {
         (s, w): Fraction(s, s + w) for s, w in {(supports[c.pattern], c.weight) for c in classes}
     }
-    rank = {
-        pair: r
-        for r, pair in enumerate(sorted(confidence, key=lambda p: (-confidence[p], -p[0])))
-    }
+    ordered = sorted(confidence, key=lambda p: (-confidence[p], -p[0]))
+    rank = {pair: r for r, pair in enumerate(ordered)}
     keyed = []
     for c in classes:
         pair = (supports[c.pattern], c.weight)
         if confidence[pair] >= min_confidence:
-            keyed.append(((rank[pair], c.deviation.bit_count()), c, confidence[pair]))
+            keyed.append(((rank[pair], c.deviation.bit_count()), c))
     keyed.sort(key=itemgetter(0))
     return [
-        [(c, confidence) for _, c, confidence in group]
-        for _, group in groupby(keyed, key=itemgetter(0))
+        (confidence[ordered[r]], [c for _, c in group])
+        for (r, _), group in groupby(keyed, key=itemgetter(0))
     ]
 
 
 def _group_order(
-    group: Sequence[tuple[_DeviationClass, Fraction]],
+    group: Sequence[_DeviationClass],
+    members: Iterable[tuple[int, _DeviationClass]],
     pattern_ranks: Sequence[int],
-    units: Sequence[Sequence[int]],
     ident_ranks: Sequence[int],
-) -> list[tuple[int, _DeviationClass, Fraction]]:
-    """The anomalies of one group as (script position, class, confidence).
+) -> list[tuple[int, _DeviationClass]]:
+    """The (position, class) `members` of one group's classes in rank order.
 
     Inside a group only the script identifier, the pattern's sort key, the
-    deviation in property order and, last, the script's position tell
-    anomalies apart; they are packed into one integer per anomaly.
+    deviation in property order and, last, the position (an index into
+    `ident_ranks`) tell anomalies apart; they are packed into one integer.
     """
-    order = _dense_ranks([(pattern_ranks[c.pattern], tuple(bits(c.deviation))) for c, _ in group])
-    n_order, n_positions = len(set(order)), len(ident_ranks)
+    ranks = _dense_ranks([(pattern_ranks[c.pattern], tuple(bits(c.deviation))) for c in group])
+    order = dict(zip(group, ranks))
+    n_order, n_positions = len(set(ranks)), len(ident_ranks)
     keyed = [
-        ((ident_ranks[position] * n_order + o) * n_positions + position, position, c, confidence)
-        for (c, confidence), o in zip(group, order)
-        for k in c.units
-        for position in units[k]
+        ((ident_ranks[position] * n_order + order[c]) * n_positions + position, position, c)
+        for position, c in members
     ]
     keyed.sort(key=itemgetter(0))
-    return [(position, c, confidence) for _, position, c, confidence in keyed]
+    return [(position, c) for _, position, c in keyed]
 
 
 def find_violations(
@@ -281,18 +286,18 @@ def rank_anomalies(violations: Sequence[Violation], config: MiningConfig) -> lis
         j = patterns.setdefault(v.pattern, len(patterns))
         members.setdefault((j, v.deviation), []).append(i)
     deviations = Vocabulary.of([], extra=(p for _, d in members for p in d))
-    classes = [
-        _DeviationClass(j, deviations.mask(d), tuple(units), len(units))
-        for (j, d), units in members.items()
-    ]
-    groups = _confident_groups(classes, [p.support for p in patterns], config.min_confidence)
+    indices = {  # each class's violations, by index
+        _DeviationClass(j, deviations.mask(d), len(found)): found
+        for (j, d), found in members.items()
+    }
+    groups = _confident_groups(indices, [p.support for p in patterns], config.min_confidence)
     pattern_ranks = _dense_ranks([p.sort_key() for p in patterns])
     ident_ranks = _dense_ranks([v.script.ident for v in violations])
-    singles = [(i,) for i in range(len(violations))]  # each violation its own unit
     ranked: list[Anomaly] = []
-    for group in groups:
-        for position, c, confidence in _group_order(group, pattern_ranks, singles, ident_ranks):
-            ranked.append(Anomaly(violations[position], confidence, c.weight, len(ranked) + 1))
+    for confidence, group in groups:
+        pairs = [(i, c) for c in group for i in indices[c]]
+        for i, c in _group_order(group, pairs, pattern_ranks, ident_ranks):
+            ranked.append(Anomaly(violations[i], confidence, c.weight, len(ranked) + 1))
     return ranked
 
 

@@ -551,8 +551,11 @@ def _scan(
     d = Path(directory)
     if not d.is_dir():
         raise DatasetEmpty(f"{d}: not a directory")
-    with os.scandir(d) as entries:
-        file_names = sorted(entry.name for entry in entries if entry.is_file())
+    try:
+        with os.scandir(d) as entries:
+            file_names = sorted(entry.name for entry in entries if entry.is_file())
+    except OSError as exc:
+        raise DatasetEmpty(f"{d}: cannot list the directory: {exc}") from exc
     candidates = [f for f in map(d.joinpath, file_names) if f.suffix.lower() in _ARCHIVE_SUFFIXES]
     names = _Names(f.stem for f in candidates)
     outcomes = load_all(candidates)
@@ -702,16 +705,22 @@ def _scripts_of(files: list[Path], jobs: int) -> Generator[_Loaded, None, None]:
     """_load_each's pairs for project_scripts(load_project(f)), loaded in
     up to `jobs` processes. The files are cut into one contiguous slice
     per process; this process loads the first, a forked _Worker each
-    other. Every worker is reaped before this returns or raises."""
+    other, and this process, last, those of workers that cannot start.
+    Every worker is reaped before this returns or raises."""
     processes = _process_count(jobs, len(files))
     bounds = [len(files) * k // processes for k in range(processes + 1)]
     workers: list[_Worker] = []
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
-            workers.append(_Worker(files[start:stop]))
+            try:
+                workers.append(_Worker(files[start:stop]))
+            except OSError as exc:  # a pipe or fork the system refuses
+                log.warning("cannot start a worker (%s); this process loads the rest", exc)
+                break
         yield from _load_each(_load_scripts, files[: bounds[1]])
         for worker in workers:
             yield from worker.results()
+        yield from _load_each(_load_scripts, files[bounds[len(workers) + 1] :])
     finally:
         for worker in workers:
             worker.stop()

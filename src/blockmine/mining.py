@@ -170,12 +170,8 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
     if min_support > n:
         return []
 
-    masks = vocab.masks
+    masks, item_tids = vocab.masks, vocab.item_tids
     weights = [len(g) for g in vocab.groups]
-    item_tids = [0] * len(vocab.items)
-    for t, mask in enumerate(masks):
-        for i in bits(mask):
-            item_tids[i] |= 1 << t
 
     # Items often share a tid mask, so extensions repeat: remember both.
     @cache

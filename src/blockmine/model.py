@@ -13,6 +13,7 @@ eliminate_epsilon is the identity on freshly built models.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Callable, Iterable, Mapping
 
 from .blocks import BlockKind, BlockLabel, classify_opcode
@@ -59,29 +60,6 @@ class ScriptModel:
         return sorted(self.transitions, key=transition_order)
 
 
-class _Continuation:
-    """A join location materialized only when some transition targets it."""
-
-    def __init__(self, alloc: Callable[[], int]):
-        self._alloc = alloc
-        self._value: int | None = None
-
-    @staticmethod
-    def fixed(location: int) -> "_Continuation":
-        cont = _Continuation(lambda: location)
-        cont._value = location
-        return cont
-
-    @property
-    def materialized(self) -> bool:
-        return self._value is not None
-
-    def get(self) -> int:
-        if self._value is None:
-            self._value = self._alloc()
-        return self._value
-
-
 def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel:
     """Build the control-flow model of one script from its shape.
 
@@ -101,11 +79,13 @@ def build_script_model(script: ScriptSource, project: RawProject) -> ScriptModel
 def build_shape_model(shape: Shape, source: ScriptSource | None = None) -> ScriptModel:
     """The model of every script whose stack_shape is `shape`, attributed
     to `source`."""
-    counter = [0]
+    alloc = count(1).__next__  # a fresh location
 
-    def alloc() -> int:
-        counter[0] += 1
-        return counter[0]
+    def join(cell: list[int]) -> int:
+        """A join's location; the cell stays empty until first targeted."""
+        if not cell:
+            cell.append(alloc())
+        return cell[0]
 
     transitions: set[Transition] = set()
     exits: set[int] = set()
@@ -115,14 +95,14 @@ def build_shape_model(shape: Shape, source: ScriptSource | None = None) -> Scrip
         chain = slots[index] if index < len(slots) else None
         return () if chain is None else shape[chain]
 
-    def walk(chain: tuple[ShapeBlock, ...], cur: int, cont: _Continuation) -> None:
+    def walk(chain: tuple[ShapeBlock, ...], cur: int, cont: list[int]) -> None:
         for i, (opcode, detail, slots) in enumerate(chain):
             kind = classify_opcode(opcode)
             if kind is BlockKind.UNKNOWN:
                 kind = BlockKind.COMMAND
             label = BlockLabel(opcode, detail)
             last = i == len(chain) - 1
-            nxt = cont if last else _Continuation(alloc)
+            nxt = cont if last else []
 
             if kind is BlockKind.CAP:
                 stop = alloc()
@@ -135,13 +115,13 @@ def build_shape_model(shape: Shape, source: ScriptSource | None = None) -> Scrip
                 transitions.add((cur, label, head))
                 body = body_of(slots, 0)
                 if body:
-                    walk(body, head, _Continuation.fixed(head))
+                    walk(body, head, [head])
                 return  # no fall-through: code stacked below never runs
 
             if kind in (BlockKind.HAT, BlockKind.COMMAND):
-                transitions.add((cur, label, nxt.get()))
+                transitions.add((cur, label, join(nxt)))
             elif kind is BlockKind.IF_THEN:
-                transitions.add((cur, label, nxt.get()))  # skip edge
+                transitions.add((cur, label, join(nxt)))  # skip edge
                 body = body_of(slots, 0)
                 if body:
                     body_entry = alloc()
@@ -155,29 +135,28 @@ def build_shape_model(shape: Shape, source: ScriptSource | None = None) -> Scrip
                         transitions.add((cur, label, body_entry))
                         walk(body, body_entry, nxt)
                     else:
-                        transitions.add((cur, label, nxt.get()))
+                        transitions.add((cur, label, join(nxt)))
             elif kind in (BlockKind.LOOP_BOUNDED, BlockKind.LOOP_UNTIL):
-                transitions.add((cur, label, nxt.get()))  # fall-through edge
+                transitions.add((cur, label, join(nxt)))  # fall-through edge
                 body = body_of(slots, 0)
                 if body:
                     body_entry = alloc()
                     transitions.add((cur, label, body_entry))
-                    walk(body, body_entry, _Continuation.fixed(cur))
+                    walk(body, body_entry, [cur])
                 else:
                     transitions.add((cur, label, cur))
-            if not nxt.materialized:
+            if not nxt:
                 return  # every branch ended in a cap or forever
-            cur = nxt.get()
+            cur = join(nxt)
 
     chain = shape[0]
     if not chain:
         # A script with no command blocks: the entry itself is the exit.
         return ScriptModel(entry, frozenset({entry}), frozenset(), source=source)
 
-    end = _Continuation(alloc)
+    end: list[int] = []
     walk(chain, entry, end)
-    if end.materialized:
-        exits.add(end.get())
+    exits.update(end)
     return _canonical(entry, exits, transitions, source)
 
 

@@ -63,6 +63,7 @@ class Vocabulary:
     properties. Distinct sets keep the order of their first script;
     `groups[k]` holds the dataset positions of the scripts whose property
     set is `masks[k]`, ascending, and its length is that set's weight.
+    `item_tids[i]` has bit k set when `masks[k]` holds item i.
     """
 
     items: tuple[TemporalProperty, ...]
@@ -91,6 +92,15 @@ class Vocabulary:
     @cached_property
     def _index(self) -> dict[TemporalProperty, int]:
         return {p: i for i, p in enumerate(self.items)}
+
+    @cached_property
+    def item_tids(self) -> tuple[int, ...]:
+        """For each item, the mask of the distinct sets that hold it."""
+        tids = [0] * len(self.items)
+        for k, mask in enumerate(self.masks):
+            for i in bits(mask):
+                tids[i] |= 1 << k
+        return tuple(tids)
 
     @cached_property
     def distinct_scripts(self) -> bool:

@@ -1,8 +1,8 @@
 """Dataset analysis orchestration and report rendering.
 
-The analysis pipeline is: load projects, extract one model per script,
-compute property sets, mine closed patterns, score violations, rank
-anomalies. Every renderer here is a pure function of the analysis result,
+The analysis pipeline is: load projects, extract one model per distinct
+script shape, compute property sets, mine closed patterns, score
+violations, rank anomalies. Every renderer here is a pure function of the analysis result,
 with canonical ordering and stable number formatting, so a report is
 byte-identical across runs of the same dataset and configuration.
 """

@@ -211,7 +211,7 @@ def test_criterion_09_reports_are_byte_identical(classroom_dir, tmp_path):
     ]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes() == parallel.read_bytes()
-    _line(9, "repeat and 4-thread runs byte-identical")
+    _line(9, "repeat and --jobs 4 runs byte-identical")
 
 
 def test_criterion_10_extraction_throughput_at_300_projects():

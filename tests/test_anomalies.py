@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,8 @@ from blockmine import (
     report_to_json,
     report_to_text,
 )
+from blockmine.anomalies import DeviationClasses
+from blockmine.properties import Vocabulary
 from conftest import (
     FIG_BUGGY_PROPS,
     FIG_BUGGY_SCRIPT,
@@ -324,6 +327,29 @@ def test_deviation_classes_partition_violations_and_bound_confidence():
     for anomaly in anomalies:
         s = anomaly.pattern.support
         assert 0 < anomaly.confidence <= Fraction(s, s + 1) < 1
+
+
+def test_a_deviation_class_keeps_no_member_list():
+    # 3000 distinct sets miss one property of a two-property pattern: one
+    # class of 3000 violations, whose scripts the core does not store.
+    kept, missed = prop(WGF, MOVE), prop(MOVE, IF)
+    sets = _sets([{kept, prop(GOTO, f"idiom_{k}")} for k in range(3000)])
+    pattern = Pattern(frozenset({kept, missed}), support=1, supporters=frozenset())
+    vocab = Vocabulary.of(sets, extra=pattern.properties)
+    vocab.mask(pattern.properties)  # builds the property index outside the measurement
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        core = DeviationClasses([pattern], vocab, RELAXED)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024
+    assert [c.weight for c in core.classes] == [3000]
+    violations = core.violations()
+    assert len(violations) == 3000
+    assert [v.script for v in violations] == [ps.source for ps in sets]
+    assert {v.deviation for v in violations} == {frozenset({missed})}
 
 
 def test_raising_min_confidence_past_the_top_anomaly_reports_nothing():

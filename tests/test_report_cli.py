@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -281,7 +282,7 @@ def test_cli_exit_code_2_for_unreadable_dataset(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["stats", "mine", "sweep", "extract-models"])
-def test_cli_exit_code_2_for_every_dataset_command(tmp_path, capsys, command):
+def test_cli_exit_code_2_for_every_dataset_command(tmp_path, capsys, monkeypatch, command):
     out = ["--out", str(tmp_path / "out")]
     assert main([command, str(tmp_path / "missing"), *out]) == 2
     (tmp_path / "empty").mkdir()
@@ -289,7 +290,20 @@ def test_cli_exit_code_2_for_every_dataset_command(tmp_path, capsys, command):
     (tmp_path / "junk").mkdir()
     (tmp_path / "junk" / "x.sb3").write_bytes(b"garbage")
     assert main([command, str(tmp_path / "junk"), *out]) == 2
-    assert capsys.readouterr().err.count("unreadable dataset") == 3
+    # A directory that cannot be listed (chmod 000 does not stop root).
+    locked = write_classroom(tmp_path / "locked", n_correct=2, n_buggy=0)
+    scandir = os.scandir
+
+    def refusing(path="."):
+        if os.fspath(path) == str(locked):
+            raise PermissionError(13, "Permission denied", str(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", refusing)
+    assert main([command, str(locked), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("unreadable dataset") == 4
+    assert "cannot list the directory" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -9,6 +9,7 @@ every slice but the first.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -57,20 +58,32 @@ def forking(monkeypatch):
     monkeypatch.setattr(ingest, "usable_cpus", lambda: 3)
 
 
-def _count_forks(monkeypatch, most=None):
+def _count_forks(monkeypatch, most=None, fails_at=None):
     """Count os.fork calls; fail, instead of forking, past `most` calls
-    (by default usable CPUs - 1)."""
+    (by default usable CPUs - 1). With `fails_at`, a fork raises EAGAIN,
+    as at a process limit, while fails_at - 1 children are unreaped: the
+    fails_at-th fork of each scan fails, and every later one."""
     if most is None:
         most = ingest.usable_cpus() - 1
-    real_fork = os.fork
-    calls = []
+    real_fork, real_waitpid = os.fork, os.waitpid
+    calls, unreaped = [], set()
 
     def counting_fork():
         calls.append(None)
         assert len(calls) <= most, f"fork number {len(calls)}, past {most}"
-        return real_fork()
+        if fails_at is not None and len(unreaped) >= fails_at - 1:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        pid = real_fork()
+        unreaped.add(pid)
+        return pid
+
+    def reaping_waitpid(pid, options):
+        reaped = real_waitpid(pid, options)
+        unreaped.discard(reaped[0])
+        return reaped
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "waitpid", reaping_waitpid)
     return calls
 
 
@@ -101,16 +114,33 @@ def _skip_lines(caplog):
 def test_forked_scan_writes_the_bytes_of_the_serial_scan(
     classroom, tmp_path, caplog, monkeypatch, forking
 ):
+    _assert_forked_bytes(classroom, tmp_path, caplog, monkeypatch, fails_at=None)
+
+
+@pytest.mark.parametrize("fails_at", [1, 2])
+def test_a_slice_whose_worker_cannot_start_loads_in_this_process(
+    classroom, tmp_path, caplog, monkeypatch, forking, fails_at
+):
+    _assert_forked_bytes(classroom, tmp_path, caplog, monkeypatch, fails_at)
+
+
+def _assert_forked_bytes(classroom, tmp_path, caplog, monkeypatch, fails_at):
+    """Every dataset command writes with --jobs 3 what it writes with
+    --jobs 1, and leaves no child. From its fails_at-th call in each scan
+    on, os.fork fails; this process then loads the slices no worker took."""
     caplog.set_level(logging.WARNING, logger="blockmine")
-    calls = _count_forks(monkeypatch, most=5 * 2)
+    calls = _count_forks(monkeypatch, most=5 * 2, fails_at=fails_at)
     serial = _outputs(classroom, tmp_path / "serial", "1")
     serial_lines = _skip_lines(caplog)
     caplog.clear()
     assert calls == []
     forked = _outputs(classroom, tmp_path / "forked", "3")
-    assert len(calls) == 5 * 2  # two workers per command
+    assert len(calls) == 5 * (fails_at or 2)  # up to two workers per command
+    _assert_no_child_left()
     assert forked == serial
     assert _skip_lines(caplog) == serial_lines
+    refused = [r for r in caplog.records if r.getMessage().startswith("cannot start a worker")]
+    assert len(refused) == (0 if fails_at is None else 5)
     # Each of the five runs logs each skip once, in filename order.
     assert [line.split(":")[0] for line in serial_lines] == 5 * [
         "skipping student_004x.sb3", "skipping zz_notes.json"
