@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidConfig
 from .ingest import ScriptSource
@@ -66,9 +66,12 @@ class Anomaly:
         return self.violation.satisfied
 
 
-@dataclass(frozen=True, eq=False)
-class _DeviationClass:
-    """How many scripts deviate from one pattern by one property set."""
+class _DeviationClass(NamedTuple):
+    """How many scripts deviate from one pattern by one property set.
+
+    A pattern has one class per deviation, so the three numbers identify
+    a class and it can key a dict by value.
+    """
 
     pattern: int  # index into the checked patterns
     deviation: int  # property mask
@@ -207,6 +210,13 @@ def _dense_ranks(keys: Sequence) -> list[int]:
     return [rank[key] for key in keys]
 
 
+def _passes(min_confidence: Fraction) -> Callable[[int, int], bool]:
+    """Whether support s and weight w give a confidence s / (s + w) of at
+    least min_confidence, tested without building a Fraction."""
+    num, den = min_confidence.numerator, min_confidence.denominator
+    return lambda s, w: s * den >= num * (s + w)
+
+
 def _confident_groups(
     classes: Collection[_DeviationClass], supports: Sequence[int], min_confidence: Fraction
 ) -> list[tuple[Fraction, list[_DeviationClass]]]:
@@ -214,19 +224,23 @@ def _confident_groups(
     min_confidence, grouped by (confidence, support, deviation size) and
     ordered by confidence descending, support descending, size ascending.
 
-    A confidence is computed once per (support, weight) pair; one support
+    The threshold is tested once per (support, weight) pair, in integers,
+    and a confidence is computed only for the pairs that pass; one support
     with two weights gives two confidences, so ranking the pairs ranks
     (confidence, support), and a group has one confidence, given with it."""
+    passes = _passes(min_confidence)
     confidence = {
-        (s, w): Fraction(s, s + w) for s, w in {(supports[c.pattern], c.weight) for c in classes}
+        (s, w): Fraction(s, s + w)
+        for s, w in {(supports[c.pattern], c.weight) for c in classes}
+        if passes(s, w)
     }
     ordered = sorted(confidence, key=lambda p: (-confidence[p], -p[0]))
     rank = {pair: r for r, pair in enumerate(ordered)}
     keyed = []
     for c in classes:
-        pair = (supports[c.pattern], c.weight)
-        if confidence[pair] >= min_confidence:
-            keyed.append(((rank[pair], c.deviation.bit_count()), c))
+        r = rank.get((supports[c.pattern], c.weight))
+        if r is not None:
+            keyed.append(((r, c.deviation.bit_count()), c))
     keyed.sort(key=itemgetter(0))
     return [
         (confidence[ordered[r]], [c for _, c in group])
@@ -343,14 +357,16 @@ def parameter_sweep(
 
     vocab = Vocabulary.of(property_sets)
     base = DeviationClasses(mine_vocabulary(vocab, min(supports)), vocab, fixed)
-    scored = []
+    # Classes with one (support, weight) pair pass or fail together.
+    scripts: dict[tuple[int, int], int] = {}
     for c in base.classes:
-        support = base.patterns[c.pattern].support
-        scored.append((support, Fraction(support, support + c.weight), c.weight))
+        pair = (base.patterns[c.pattern].support, c.weight)
+        scripts[pair] = scripts.get(pair, 0) + c.weight
 
+    tests = [(c, _passes(c)) for c in confidences]
     cells = []
     for s in supports:
-        for c in confidences:
-            count = sum(weight for supp, conf, weight in scored if supp >= s and conf >= c)
+        for c, passes in tests:
+            count = sum(n for (supp, w), n in scripts.items() if supp >= s and passes(supp, w))
             cells.append(SweepCell(min_support=s, min_confidence=c, anomalies=count))
     return cells

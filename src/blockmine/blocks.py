@@ -10,10 +10,10 @@ palette can be audited and extended without touching code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 
 @unique
@@ -77,12 +77,13 @@ def opcode_display_name(opcode: str) -> str:
     return tail.replace("_", " ")
 
 
-@dataclass(frozen=True, order=True)
-class BlockLabel:
+class BlockLabel(NamedTuple):
     """Normalized identity of a command block: opcode with inputs abstracted.
 
     `detail` distinguishes custom procedures (the prototype name) so that
-    calls to different procedures do not collapse into one label.
+    calls to different procedures do not collapse into one label. A label
+    is an immutable tuple, so it hashes, compares and sorts by
+    (opcode, detail) in C; copy one with `label._replace(...)`.
     """
 
     opcode: str

@@ -160,7 +160,10 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
     It uses closure extension over transaction-id bitmasks: a candidate
     built by adding item i to a closed set is kept only when its closure
     adds no item ordered before i, which visits every closed frequent
-    itemset exactly once without storing candidates.
+    itemset exactly once without storing candidates. Items with one tid
+    mask always close together (CHARM, Zaki and Hsiao 2002): a later one
+    has the first in its closure but not in the intent, so that check
+    would reject it, and only the first item of each tid mask is tried.
     """
     if min_support < 1:
         raise InvalidConfig(f"min_support must be >= 1, got {min_support}")
@@ -186,6 +189,11 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
             intent &= masks[t]
         return intent
 
+    leaders: dict[int, int] = {}
+    for i, tids in enumerate(item_tids):
+        leaders.setdefault(tids, i)
+    leader_mask = sum(1 << i for i in leaders.values())
+
     all_tids = (1 << len(masks)) - 1
     root = closure(all_tids)
     found: list[tuple[int, int, int]] = [(root, all_tids, n)] if root else []
@@ -198,7 +206,7 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
         present = 0
         for t in bits(tidmask):
             present |= masks[t]
-        candidates = present & ~intent & ~((1 << (core + 1)) - 1)
+        candidates = present & leader_mask & ~intent & ~((1 << (core + 1)) - 1)
         while candidates:
             i = candidates.bit_length() - 1
             candidates ^= 1 << i

@@ -10,16 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .blocks import BlockLabel
 from .ingest import ScriptSource
 from .model import ScriptModel, dot_quote, reach_from
 
 
-@dataclass(frozen=True, order=True)
-class TemporalProperty:
-    """An ordered pair: `first` can be followed by `second`."""
+class TemporalProperty(NamedTuple):
+    """An ordered pair: `first` can be followed by `second`.
+
+    An immutable tuple of two labels, so it hashes, compares and sorts by
+    (first, second) in C.
+    """
 
     first: BlockLabel
     second: BlockLabel

@@ -16,7 +16,7 @@ import zipfile
 import zlib
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -452,6 +452,28 @@ def naive_rank_anomalies(violations: Sequence[Violation], config: MiningConfig) 
     return [replace(a, rank=i + 1) for i, a in enumerate(scored)]
 
 
+def fraction_confident_groups(classes: Sequence, supports: Sequence[int], min_confidence: Fraction):
+    """(confidence, classes) groups as anomalies._confident_groups makes
+    them, with one Fraction per class: keep the classes whose confidence
+    reaches min_confidence, sort them stably by confidence descending,
+    support descending, deviation size ascending, and group equal keys."""
+    keyed = []
+    for c in classes:
+        s = supports[c.pattern]
+        confidence = Fraction(s, s + c.weight)
+        if confidence >= min_confidence:
+            keyed.append(((-confidence, -s, bin(c.deviation).count("1")), c))
+    keyed.sort(key=lambda kc: kc[0])
+    groups: list[tuple[Fraction, list]] = []
+    previous = None
+    for key, c in keyed:
+        if key != previous:
+            groups.append((-key[0], []))
+            previous = key
+        groups[-1][1].append(c)
+    return groups
+
+
 def naive_sweep(
     property_sets: Sequence[PropertySet],
     supports: Sequence[int],
@@ -485,6 +507,27 @@ def random_mining_instance(
     for _ in range(n):
         size = rng.randint(0, universe_size)
         transactions.append(frozenset(rng.sample(universe, size)))
+    min_support = rng.randint(1, n + 1)
+    return transactions, min_support
+
+
+def random_bundled_instance(rng: random.Random, max_transactions: int = 12):
+    """Like random_mining_instance, but items come in bundles of 2-4 that
+    always occur together, so most items share their column of
+    transactions with another; now and then a transaction also carries
+    one loose item."""
+    labels = [BlockLabel(f"op_{chr(97 + i)}") for i in range(6)]
+    universe = [TemporalProperty(a, b) for a in labels for b in labels]
+    rng.shuffle(universe)
+    loose, rest = universe[:4], iter(universe[4:])
+    bundles = [frozenset(islice(rest, rng.randint(2, 4))) for _ in range(rng.randint(2, 5))]
+    n = rng.randint(1, max_transactions)
+    transactions = []
+    for _ in range(n):
+        items = frozenset().union(*rng.sample(bundles, rng.randint(0, len(bundles))))
+        if rng.random() < 0.3:
+            items |= {rng.choice(loose)}
+        transactions.append(items)
     min_support = rng.randint(1, n + 1)
     return transactions, min_support
 

@@ -29,7 +29,7 @@ from blockmine import (
     report_to_json,
     report_to_text,
 )
-from blockmine.anomalies import DeviationClasses
+from blockmine.anomalies import DeviationClasses, _confident_groups, _DeviationClass
 from blockmine.properties import Vocabulary
 from conftest import (
     FIG_BUGGY_PROPS,
@@ -46,6 +46,7 @@ from conftest import (
 from oracles import (
     confidence,
     dummy_sources,
+    fraction_confident_groups,
     naive_find_violations,
     naive_patterns,
     naive_rank_anomalies,
@@ -362,6 +363,64 @@ def test_sweep_over_a_uniform_corpus_is_all_zero():
     cells = parameter_sweep(sets, [1, 4, 8], ["1/10", "9/10"])
     assert len(cells) == 6
     assert all(cell.anomalies == 0 for cell in cells)
+
+
+# The confidence threshold is tested in integers, s * den >= num * (s + w),
+# and a confidence that equals the threshold passes it.
+
+_THRESHOLDS = st.fractions(min_value=0, max_value=1, max_denominator=60).filter(bool)
+
+
+def _pair_sets(pairs):
+    """Per (s, w): s scripts holding a two-property pattern of their own
+    and w holding only its first property, so the pattern has support s
+    and one deviation class of weight w."""
+    transactions = []
+    for k, (s, w) in enumerate(pairs):
+        kept, missed = prop(WGF, f"op_{k}"), prop(f"op_{k}", MOVE)
+        transactions += [{kept, missed}] * s + [{kept}] * w
+    return _sets(transactions)
+
+
+def test_a_confidence_equal_to_the_threshold_is_kept():
+    # 9 / (9 + 1) is exactly 0.9 and passes; 9 / (9 + 2) falls short.
+    kept, dropped = _DeviationClass(0, 0b01, 1), _DeviationClass(0, 0b10, 2)
+    assert _confident_groups([kept, dropped], [9], Fraction(9, 10)) == [(Fraction(9, 10), [kept])]
+    sets = _pair_sets([(9, 1), (9, 2)])
+    assert [c.anomalies for c in parameter_sweep(sets, [9], ["0.9"])] == [1]
+    (anomaly,) = detect_anomalies(sets, MiningConfig(min_support=9, min_confidence=0.9))
+    assert (anomaly.confidence, anomaly.same_deviation_count) == (Fraction(9, 10), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_confident_groups_match_the_fraction_oracle(data):
+    supports = data.draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
+    drawn = st.tuples(st.integers(0, len(supports) - 1), st.integers(1, 15), st.integers(1, 30))
+    classes = [
+        _DeviationClass(*c)
+        for c in data.draw(st.lists(drawn, min_size=1, max_size=12, unique_by=lambda c: c[:2]))
+    ]
+    at = [Fraction(supports[c.pattern], supports[c.pattern] + c.weight) for c in classes]
+    threshold = data.draw(st.one_of(st.sampled_from(at), _THRESHOLDS))
+    assert _confident_groups(classes, supports, threshold) == fraction_confident_groups(
+        classes, supports, threshold
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), min_size=1, max_size=3), st.data())
+def test_sweep_counts_match_the_fraction_oracle_at_the_boundary(pairs, data):
+    sets = _pair_sets(pairs)
+    at = [Fraction(s, s + w) for s, w in pairs]
+    confidences = data.draw(
+        st.lists(st.one_of(st.sampled_from(at), _THRESHOLDS), min_size=1, max_size=4)
+    )
+    supports = sorted({1, *(s for s, _ in pairs)})
+    cells = parameter_sweep(sets, supports, confidences)
+    assert [(c.min_support, c.min_confidence, c.anomalies) for c in cells] == naive_sweep(
+        sets, supports, confidences, MiningConfig()
+    )
 
 
 # Differential tests: the counted pipeline against the object-per-violation

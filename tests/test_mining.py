@@ -28,8 +28,14 @@ from blockmine import (
     support,
 )
 from blockmine import mining
+from blockmine.properties import Vocabulary
 from conftest import FIG_BUGGY_PROPS, FIG_BUGGY_SCRIPT, FIG_PROPS, FIG_SCRIPT
-from oracles import brute_force_closed, dummy_sources, random_mining_instance
+from oracles import (
+    brute_force_closed,
+    dummy_sources,
+    random_bundled_instance,
+    random_mining_instance,
+)
 
 
 def _two_script_sets() -> list[PropertySet]:
@@ -103,6 +109,25 @@ def test_miner_matches_brute_force_on_seeded_instances():
         assert mined == expected, f"instance {i} diverged (seeded)"
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
+
+
+def test_miner_matches_brute_force_when_items_share_columns():
+    # Items in a bundle share one column of transactions, so the miner
+    # tries only the first of them; the others must still close in.
+    rng = random.Random(20020411)
+    items = shared = 0
+    for i in range(100):
+        transactions, min_support = random_bundled_instance(rng)
+        sets = _sets_from(transactions)
+        mined = {
+            (p.properties, p.support)
+            for p in mine_closed_patterns(sets, min_support)
+        }
+        assert mined == brute_force_closed(transactions, min_support), f"instance {i}"
+        vocab = Vocabulary.of(sets)
+        items += len(vocab.items)
+        shared += len(vocab.items) - len(set(vocab.item_tids))
+    assert 2 * shared > items  # most items repeat another's column
 
 
 def test_threshold_above_transaction_count_yields_nothing():

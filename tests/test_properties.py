@@ -380,3 +380,54 @@ def test_scripts_differing_in_block_structure_never_share_an_entry(builds, first
     assert shape_a != shape_b
     _assert_shared_exactly_by_shape(projects)
     assert builds == {"build": 2, "props": 2}
+
+
+# Labels and properties are immutable NamedTuples: they must keep the
+# order, text and value semantics they had as frozen dataclasses.
+
+_LABELS = st.builds(
+    BlockLabel,
+    st.sampled_from([HAT, MOVE, GOTO, IF, "procedures_call", "ext_doSomethingNice"]),
+    st.sampled_from(["", "jump %s", "hop %s"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_LABELS, max_size=12), st.lists(st.tuples(_LABELS, _LABELS), max_size=12))
+def test_labels_and_properties_sort_by_their_fields(labels, pairs):
+    assert sorted(labels) == sorted(labels, key=lambda label: (label.opcode, label.detail))
+    properties = [TemporalProperty(first, second) for first, second in pairs]
+    assert sorted(properties) == sorted(properties, key=lambda p: (p.first, p.second))
+    assert sorted_properties(properties) == sorted(properties)
+
+
+def test_labels_and_properties_keep_their_text_and_value_semantics():
+    move = BlockLabel("motion_movesteps")
+    call = BlockLabel("procedures_call", "jump %s")
+    other = BlockLabel("ext_doSomethingNice")
+    assert repr(move) == "BlockLabel(opcode='motion_movesteps', detail='')"
+    assert [label.display for label in (move, call, other)] == [
+        "move steps", "call 'jump %s'", "doSomethingNice"
+    ]
+    assert [str(label) for label in (move, call, other)] == [
+        "move steps", "call 'jump %s'", "doSomethingNice"
+    ]
+    assert [label.key() for label in (move, call, other)] == [
+        "motion_movesteps", "procedures_call:jump %s", "ext_doSomethingNice"
+    ]
+
+    p = TemporalProperty(move, call)
+    assert repr(p) == (
+        "TemporalProperty(first=BlockLabel(opcode='motion_movesteps', detail=''),"
+        " second=BlockLabel(opcode='procedures_call', detail='jump %s'))"
+    )
+    assert p.display == str(p) == "move steps ≺ call 'jump %s'"
+
+    assert move == ("motion_movesteps", "") and hash(move) == hash(("motion_movesteps", ""))
+    assert p == (move, call) and hash(p) == hash((move, call))
+    assert move._replace(detail="x") == BlockLabel("motion_movesteps", "x")
+    assert p._replace(second=other) == TemporalProperty(move, other)
+    with pytest.raises(AttributeError):
+        move.opcode = "control_stop"
+    with pytest.raises(AttributeError):
+        p.first = call

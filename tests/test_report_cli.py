@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +36,8 @@ from blockmine.cli import build_parser, main
 from blockmine.model import build_shape_model
 from conftest import FIG_SCRIPT, write_classroom
 from oracles import per_script_models
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +226,29 @@ def test_cli_mine_is_byte_deterministic(cli_classroom, tmp_path):
     assert main(["mine", str(cli_classroom), "--format", "json", "--out", str(a)]) == 0
     assert main(["mine", str(cli_classroom), "--format", "json", "--out", str(b), "--jobs", "2"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mine", "--format", "json"], ["mine", "--format", "text"], ["sweep"]],
+    ids=["mine-json", "mine-text", "sweep"],
+)
+def test_cli_output_does_not_depend_on_the_hash_seed(cli_classroom, tmp_path, argv):
+    # Labels and properties hash their strings, whose hashes change with the
+    # seed; a report that followed set iteration order would change too.
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"report_{seed}"
+        env = {k: v for k, v in os.environ.items() if not k.startswith("BLOCKMINE_")}
+        env.update(PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockmine.cli", argv[0], str(cli_classroom), *argv[1:],
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] != b""
 
 
 def test_cli_mine_dot_needs_out_dir(cli_classroom, capsys, tmp_path):
