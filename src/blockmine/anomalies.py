@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -217,6 +217,14 @@ def _passes(min_confidence: Fraction) -> Callable[[int, int], bool]:
     return lambda s, w: s * den >= num * (s + w)
 
 
+def _by_confidence(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Compare (support, weight) pairs by confidence s / (s + w) descending,
+    then support descending, in integers: s1 / (s1 + w1) > s2 / (s2 + w2)
+    exactly when s1 * w2 > s2 * w1."""
+    (s1, w1), (s2, w2) = a, b
+    return s2 * w1 - s1 * w2 or s2 - s1
+
+
 def _confident_groups(
     classes: Collection[_DeviationClass], supports: Sequence[int], min_confidence: Fraction
 ) -> list[tuple[Fraction, list[_DeviationClass]]]:
@@ -224,17 +232,16 @@ def _confident_groups(
     min_confidence, grouped by (confidence, support, deviation size) and
     ordered by confidence descending, support descending, size ascending.
 
-    The threshold is tested once per (support, weight) pair, in integers,
-    and a confidence is computed only for the pairs that pass; one support
-    with two weights gives two confidences, so ranking the pairs ranks
-    (confidence, support), and a group has one confidence, given with it."""
+    The threshold is tested once per (support, weight) pair and the pairs
+    are ordered by cross-multiplying, all in integers; one support with two
+    weights gives two confidences, so ranking the pairs ranks (confidence,
+    support). A Fraction is built once per passing pair, to show with its
+    group."""
     passes = _passes(min_confidence)
-    confidence = {
-        (s, w): Fraction(s, s + w)
-        for s, w in {(supports[c.pattern], c.weight) for c in classes}
-        if passes(s, w)
-    }
-    ordered = sorted(confidence, key=lambda p: (-confidence[p], -p[0]))
+    ordered = sorted(
+        (pair for pair in {(supports[c.pattern], c.weight) for c in classes} if passes(*pair)),
+        key=cmp_to_key(_by_confidence),
+    )
     rank = {pair: r for r, pair in enumerate(ordered)}
     keyed = []
     for c in classes:
@@ -242,8 +249,9 @@ def _confident_groups(
         if r is not None:
             keyed.append(((r, c.deviation.bit_count()), c))
     keyed.sort(key=itemgetter(0))
+    confidences = [Fraction(s, s + w) for s, w in ordered]
     return [
-        (confidence[ordered[r]], [c for _, c in group])
+        (confidences[r], [c for _, c in group])
         for (r, _), group in groupby(keyed, key=itemgetter(0))
     ]
 

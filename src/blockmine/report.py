@@ -2,18 +2,29 @@
 
 The analysis pipeline is: load projects, extract one model per distinct
 script shape, compute property sets, mine closed patterns, score
-violations, rank anomalies. Every renderer here is a pure function of the analysis result,
-with canonical ordering and stable number formatting, so a report is
-byte-identical across runs of the same dataset and configuration.
+violations, rank anomalies. Every renderer here is a pure function of the
+analysis result, with canonical ordering and stable number formatting, so
+a report is byte-identical across runs of the same dataset and
+configuration.
+
+A report document builds each distinct property's document once and gives
+every occurrence its own copy. JSON text is
+`json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)` and a
+newline; before Python 3.13, where `json.dumps` takes its pure-Python
+encoder for `indent`, `_write_json` writes the same bytes with the C string
+encoder.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import inf
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import __version__
@@ -24,6 +35,7 @@ from .mining import MiningConfig, Pattern, mine_vocabulary
 from .model import ScriptModel, build_shape_model, model_to_document, model_to_dot
 from .properties import (
     PropertySet,
+    TemporalProperty,
     Vocabulary,
     properties_to_dot,
     property_to_document,
@@ -248,16 +260,28 @@ def _script_document(script: ScriptSource) -> dict:
     }
 
 
-def _pattern_document(pattern: Pattern) -> dict:
+class _PropertyDocuments(dict):
+    """The documents of one report's properties, each built on first use."""
+
+    def __missing__(self, prop: TemporalProperty) -> dict:
+        document = self[prop] = property_to_document(prop)
+        return document
+
+    def listed(self, properties: Iterable[TemporalProperty]) -> list[dict]:
+        """In property order; every occurrence gets its own copy."""
+        return [self[p].copy() for p in sorted_properties(properties)]
+
+
+def _pattern_document(pattern: Pattern, documents: _PropertyDocuments) -> dict:
     return {
         "support": pattern.support,
         "size": pattern.size,
         "supporter_count": len(pattern.supporters),
-        "properties": [property_to_document(p) for p in sorted_properties(pattern.properties)],
+        "properties": documents.listed(pattern.properties),
     }
 
 
-def _anomaly_document(anomaly: Anomaly) -> dict:
+def _anomaly_document(anomaly: Anomaly, documents: _PropertyDocuments) -> dict:
     return {
         "rank": anomaly.rank,
         "confidence": format_confidence(anomaly.confidence),
@@ -265,10 +289,8 @@ def _anomaly_document(anomaly: Anomaly) -> dict:
         "same_deviation_count": anomaly.same_deviation_count,
         "script": _script_document(anomaly.script),
         "pattern": {"support": anomaly.pattern.support, "size": anomaly.pattern.size},
-        "deviation": [property_to_document(p) for p in sorted_properties(anomaly.deviation)],
-        "satisfied": [
-            property_to_document(p) for p in sorted_properties(anomaly.violation.satisfied)
-        ],
+        "deviation": documents.listed(anomaly.deviation),
+        "satisfied": documents.listed(anomaly.violation.satisfied),
     }
 
 
@@ -285,6 +307,7 @@ def report_to_document(report: AnomalyReport, top: int | None = None) -> dict:
     anomalies = report.result.anomalies
     if top is not None:
         anomalies = anomalies[: max(top, 0)]
+    documents = _PropertyDocuments()
     return {
         "schema_version": 1,
         "kind": "anomaly-report",
@@ -296,14 +319,108 @@ def report_to_document(report: AnomalyReport, top: int | None = None) -> dict:
         "dataset": report.dataset,
         "config": _config_document(report.config),
         "stats": stats_to_document(report.result.stats),
-        "patterns": [_pattern_document(p) for p in report.result.patterns],
-        "anomalies": [_anomaly_document(a) for a in anomalies],
+        "patterns": [_pattern_document(p, documents) for p in report.result.patterns],
+        "anomalies": [_anomaly_document(a, documents) for a in anomalies],
     }
 
 
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == inf:
+        return "Infinity"
+    if value == -inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_key(key: object) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_json(value: object) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)` and
+    a newline, byte for byte, without the pure-Python encoder that
+    `json.dumps` falls back to for `indent` before Python 3.13.
+
+    Strings go through the C `encode_basestring_ascii`; the separator
+    before an item is one string per depth, reused by every item there.
+    """
+    out: list[str] = []
+    append = out.append
+    quote = encode_basestring_ascii
+    newlines = ["\n"]  # a newline and the indent of each depth
+    commas = [",\n"]
+
+    def write(o: object, depth: int) -> None:
+        if isinstance(o, str):
+            append(quote(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, float):
+            append(_json_float(o))
+        elif isinstance(o, (list, tuple, dict)):
+            if not o:
+                append("{}" if isinstance(o, dict) else "[]")
+                return
+            depth += 1
+            if depth == len(newlines):
+                newlines.append(newlines[-1] + "  ")
+                commas.append("," + newlines[-1])
+            separator, comma = newlines[depth], commas[depth]
+            if isinstance(o, dict):
+                append("{")
+                for key, item in sorted(o.items()):
+                    append(separator)
+                    separator = comma
+                    append(quote(_json_key(key)))
+                    append(": ")
+                    write(item, depth)
+                append(newlines[depth - 1])
+                append("}")
+            else:
+                append("[")
+                for item in o:
+                    append(separator)
+                    separator = comma
+                    write(item, depth)
+                append(newlines[depth - 1])
+                append("]")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(value, 0)
+    append("\n")
+    return "".join(out)
+
+
 def document_to_json(doc: dict) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Canonical JSON text: sorted keys, fixed separators, trailing newline.
+
+    Since Python 3.13 `json.dumps` encodes in C with `indent` too; before,
+    `_write_json` writes the same bytes faster.
+    """
+    if sys.version_info >= (3, 13):
+        return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return _write_json(doc)
 
 
 def report_to_json(report: AnomalyReport, top: int | None = None) -> str:

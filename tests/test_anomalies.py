@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockmine import (
@@ -403,6 +403,49 @@ def test_confident_groups_match_the_fraction_oracle(data):
     ]
     at = [Fraction(supports[c.pattern], supports[c.pattern] + c.weight) for c in classes]
     threshold = data.draw(st.one_of(st.sampled_from(at), _THRESHOLDS))
+    assert _confident_groups(classes, supports, threshold) == fraction_confident_groups(
+        classes, supports, threshold
+    )
+
+
+_HUGE = 2**40
+
+
+@st.composite
+def _neighbour_pairs(draw):
+    """(a, c*a + d) and (a + 1, c*(a + 1) + d), d = +-1: their confidences
+    differ by 1 / ((a + c*a + d) * (a + 1 + c*(a + 1) + d)) only, far below
+    a float's resolution once a is large. With d = -1 the smaller support
+    has the higher confidence; (2**40, 1) and (2**40 + 1, 1) is c = 0."""
+    a, c = draw(st.integers(1, _HUGE)), draw(st.integers(0, 3))
+    d = draw(st.sampled_from([-1, 1])) if c * a > 1 else 1
+    return [(a, c * a + d), (a + 1, c * (a + 1) + d)]
+
+
+_HUGE_PAIRS = st.lists(
+    st.one_of(
+        _neighbour_pairs(),
+        st.lists(st.tuples(st.integers(1, _HUGE), st.integers(1, _HUGE)), min_size=1, max_size=2),
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda chunks: [pair for chunk in chunks for pair in chunk])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=_HUGE_PAIRS, sizes=st.lists(st.integers(1, 3), min_size=1, max_size=2), cut=st.integers(0, 5))
+@example(pairs=[(_HUGE, 1), (_HUGE + 1, 1)], sizes=[1], cut=0)
+@example(pairs=[(_HUGE, _HUGE - 1), (_HUGE + 1, _HUGE)], sizes=[1, 2], cut=0)
+def test_confident_groups_order_exactly_at_scale(pairs, sizes, cut):
+    # Pattern j has support pairs[j][0] and one class per deviation size,
+    # each of weight pairs[j][1]; the threshold is one of their confidences.
+    supports = [s for s, _ in pairs]
+    classes = [
+        _DeviationClass(j, (1 << size) - 1, w)
+        for j, (_, w) in enumerate(pairs)
+        for size in sorted(set(sizes))
+    ]
+    threshold = sorted(Fraction(s, s + w) for s, w in pairs)[cut % len(pairs)]
     assert _confident_groups(classes, supports, threshold) == fraction_confident_groups(
         classes, supports, threshold
     )

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmine import (
     AnomalyReport,
@@ -23,6 +27,7 @@ from blockmine import (
     load_dataset,
     model_artifacts,
     parameter_sweep,
+    report_to_document,
     report_to_json,
     report_to_text,
     stats_to_document,
@@ -172,6 +177,83 @@ def test_sweep_rendering(classroom_result):
     doc = sweep_to_document(cells)
     assert len(doc["cells"]) == 4
     json.loads(document_to_json(doc))
+
+
+def test_every_property_occurrence_is_its_own_dict(classroom_result):
+    directory, _, result = classroom_result
+    report = AnomalyReport(dataset=str(directory), config=MiningConfig(), result=result)
+    expected = json.loads(report_to_json(report))
+    doc = report_to_document(report)
+    assert doc == expected
+    occurrences = [
+        *(q for pattern in doc["patterns"] for q in pattern["properties"]),
+        *(q for anomaly in doc["anomalies"] for q in anomaly["deviation"] + anomaly["satisfied"]),
+    ]
+    texts = [q["text"] for q in occurrences]
+    shared = max(set(texts), key=texts.count)
+    assert texts.count(shared) > 1
+    first, *others = [q for q in occurrences if q["text"] == shared]
+    first["text"] = "changed"
+    first["first"] = None
+    assert all(q["text"] == shared and q["first"] is not None for q in others)
+    assert report_to_document(report) == expected
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HUGE = 2**70
+
+
+_JSON_KEYS = [
+    st.text(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(list(_Level)),
+]
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]),
+    st.text(),
+    st.text(st.characters(min_codepoint=0x80)),
+    st.text(st.characters(min_codepoint=0x10000)),
+    st.text(st.characters(categories=["Cs"]), min_size=1),
+    st.sampled_from(list(_Level)),
+)
+
+
+def _json_values(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            *(st.dictionaries(keys, children, max_size=4) for keys in _JSON_KEYS),
+            st.dictionaries(st.one_of(*_JSON_KEYS), children, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        _json_values(_JSON_LEAVES),
+        _json_values(st.one_of(_JSON_LEAVES, st.sets(st.integers(), max_size=2), st.binary())),
+    )
+)
+def test_json_writer_matches_json_dumps(value):
+    try:
+        expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    except Exception as error:
+        with pytest.raises(type(error)):
+            report._write_json(value)
+    else:
+        assert report._write_json(value) == expected
 
 
 # ---------------------------------------------------------------- CLI
