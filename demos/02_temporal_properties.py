@@ -51,14 +51,14 @@ def fingerprint(name, script):
 good = fingerprint("correct", correct)
 bad = fingerprint("buggy", buggy)
 
-print(f"correct script: {len(good)} properties")
+print(f"correct script: {len(good.properties)} properties")
 print(format_properties(good.properties))
 
 # The move block sits inside a loop, so it can be followed by the if-then
 # of the next iteration and by itself - that is why "move steps < move
 # steps" is a property.
 
-print(f"\nbuggy script: {len(bad)} properties")
+print(f"\nbuggy script: {len(bad.properties)} properties")
 print(format_properties(bad.properties))
 
 # The two scripts share everything that does not mention the action

@@ -37,7 +37,7 @@ projects += [build_project(f"jumper_{i}", [("Cat", [jump])]) for i in range(2)]
 
 transactions = extract_property_sets(projects)
 print("scripts analyzed:", len(transactions))
-print("properties per script:", sorted(len(t) for t in transactions))
+print("properties per script:", sorted(len(t.properties) for t in transactions))
 
 # With support >= 1 we see three closed patterns: the walkers' full
 # fingerprint, the jumpers' full fingerprint, and their shared skeleton.

@@ -26,7 +26,7 @@ from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequenc
 
 from .errors import InvalidConfig
 from .ingest import ScriptSource
-from .mining import MiningConfig, Pattern, as_confidence, mine_vocabulary
+from .mining import MiningConfig, Pattern, as_confidence, as_count, mine_vocabulary
 from .properties import PropertySet, TemporalProperty, Vocabulary, bits
 
 
@@ -198,9 +198,7 @@ class DeviationClasses:
                     self.vocab.properties(satisfied),
                 )
             pattern, deviation, satisfied = decoded[c]
-            script = self.vocab.scripts[position]
-            assert script is not None
-            built.append(Violation(script, pattern, deviation, satisfied))
+            built.append(Violation(self.vocab.scripts[position], pattern, deviation, satisfied))
         return built
 
 
@@ -302,6 +300,7 @@ def rank_anomalies(violations: Sequence[Violation], config: MiningConfig) -> lis
     size ascending, script identifier ascending, then pattern and
     deviation in property order.
     """
+    scripts = Vocabulary.named(v.script for v in violations)
     patterns: dict[Pattern, int] = {}
     members: dict[tuple[int, frozenset[TemporalProperty]], list[int]] = {}
     for i, v in enumerate(violations):
@@ -314,7 +313,7 @@ def rank_anomalies(violations: Sequence[Violation], config: MiningConfig) -> lis
     }
     groups = _confident_groups(indices, [p.support for p in patterns], config.min_confidence)
     pattern_ranks = _dense_ranks([p.sort_key() for p in patterns])
-    ident_ranks = _dense_ranks([v.script.ident for v in violations])
+    ident_ranks = _dense_ranks([s.ident for s in scripts])
     ranked: list[Anomaly] = []
     for confidence, group in groups:
         pairs = [(i, c) for c in group for i in indices[c]]
@@ -357,10 +356,7 @@ def parameter_sweep(
     """
     if not support_values or not confidence_values:
         raise InvalidConfig("sweep needs at least one support and one confidence value")
-    supports = list(support_values)
-    for s in supports:
-        if isinstance(s, bool) or not isinstance(s, int) or s < 1:
-            raise InvalidConfig(f"support values must be positive integers, got {s!r}")
+    supports = [as_count(s, "support value") for s in support_values]
     confidences = [as_confidence(c, "confidence value") for c in confidence_values]
 
     vocab = Vocabulary.of(property_sets)

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from .blocks import is_menu_opcode
 from .errors import InvalidConfig, OutputUnwritable
 from .ingest import Actor, RawBlock, RawProject, _parse_target, canvas_roots
+from .mining import as_count
 
 # Fixed zip metadata so archive bytes do not depend on the clock.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
@@ -443,8 +444,7 @@ def generate_corpus(
     Returns the written paths. File naming is fixed (correct_NNN.sb3,
     mutant_NNN_<kind>.sb3) so reloading the directory is deterministic.
     """
-    if n_correct < 0:
-        raise InvalidConfig(f"n_correct must be >= 0, got {n_correct}")
+    as_count(n_correct, "n_correct", minimum=0)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -486,10 +486,7 @@ def load_corpus_spec(path: str | Path) -> CorpusSpec:
         raise InvalidConfig(f"{p}: corpus spec is not valid JSON") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("reference"), str):
         raise InvalidConfig(f"{p}: corpus spec needs a reference path")
-    n_correct = doc.get("n_correct", 0)
-    # bool is a subclass of int, but true is not a count or a seed.
-    if isinstance(n_correct, bool) or not isinstance(n_correct, int) or n_correct < 0:
-        raise InvalidConfig(f"{p}: n_correct must be a nonnegative integer")
+    n_correct = as_count(doc.get("n_correct", 0), f"{p}: n_correct", minimum=0)
     raw_mutations = doc.get("mutations", [])
     if not isinstance(raw_mutations, list):
         raise InvalidConfig(f"{p}: mutations must be a list of objects")
@@ -512,6 +509,7 @@ def load_corpus_spec(path: str | Path) -> CorpusSpec:
         if replacement is not None and not isinstance(replacement, str):
             raise InvalidConfig(f"{p}: mutation {i} replacement must be a string")
         seed = m.get("seed", 0)
+        # bool is a subclass of int, but true is not a seed.
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise InvalidConfig(f"{p}: mutation {i} seed must be an integer")
         mutations.append(

@@ -39,6 +39,15 @@ def as_confidence(value: object, name: str) -> Fraction:
     return confidence
 
 
+def as_count(value: object, name: str, minimum: int = 1) -> int:
+    """`value` as a count: an int, not a bool, of at least `minimum`.
+    Raises InvalidConfig naming `name`."""
+    # bool is a subclass of int, but True is not a count.
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class MiningConfig:
     """Detection parameters; defaults follow the standard classroom setting."""
@@ -50,10 +59,7 @@ class MiningConfig:
 
     def __post_init__(self) -> None:
         for name in ("min_support", "min_pattern_size", "max_deviation_level"):
-            value = getattr(self, name)
-            # bool is a subclass of int, but True is not a count.
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidConfig(f"{name} must be a positive integer, got {value!r}")
+            as_count(getattr(self, name), name)
         confidence = as_confidence(self.min_confidence, "min_confidence")
         object.__setattr__(self, "min_confidence", confidence)
 
@@ -165,11 +171,8 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
     has the first in its closure but not in the intent, so that check
     would reject it, and only the first item of each tid mask is tried.
     """
-    if min_support < 1:
-        raise InvalidConfig(f"min_support must be >= 1, got {min_support}")
+    as_count(min_support, "min_support")
     n = len(vocab.scripts)
-    if None in vocab.scripts:
-        raise ValueError("every PropertySet needs a source to identify supporters")
     if min_support > n:
         return []
 

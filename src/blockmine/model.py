@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import count
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .blocks import BlockKind, BlockLabel, classify_opcode
 from .ingest import RawProject, ScriptSource, Shape, ShapeBlock
@@ -249,30 +249,15 @@ def eliminate_epsilon(model: ScriptModel) -> ScriptModel:
     )
 
 
-DropSpec = Callable[[BlockLabel], bool] | Iterable[BlockLabel | str]
-
-
-def _drop_predicate(drop: DropSpec) -> Callable[[BlockLabel], bool]:
-    if callable(drop):
-        return drop
-    wanted = set(drop)
-
-    def predicate(label: BlockLabel) -> bool:
-        return label in wanted or label.opcode in wanted
-
-    return predicate
-
-
-def abstract_labels(model: ScriptModel, drop: DropSpec) -> ScriptModel:
-    """Hide the given labels from a model.
+def abstract_labels(model: ScriptModel, drop: Iterable[str]) -> ScriptModel:
+    """Hide the blocks with the given opcodes from a model.
 
     Matching transitions become epsilon moves and are then eliminated, so
-    the result is again epsilon-free. `drop` is a predicate on BlockLabel
-    or a collection of labels/opcode strings.
+    the result is again epsilon-free.
     """
-    predicate = _drop_predicate(drop)
+    dropped = set(drop)
     rewritten = frozenset(
-        (src, None if (label is not None and predicate(label)) else label, dst)
+        (src, None if (label is not None and label.opcode in dropped) else label, dst)
         for src, label, dst in model.transitions
     )
     return eliminate_epsilon(replace(model, transitions=rewritten))

@@ -42,12 +42,6 @@ class PropertySet:
     source: ScriptSource | None
     properties: frozenset[TemporalProperty]
 
-    def __len__(self) -> int:
-        return len(self.properties)
-
-    def __contains__(self, prop: TemporalProperty) -> bool:
-        return prop in self.properties
-
 
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of a nonnegative mask, ascending."""
@@ -72,14 +66,25 @@ class Vocabulary:
     items: tuple[TemporalProperty, ...]
     masks: tuple[int, ...]
     groups: tuple[tuple[int, ...], ...]
-    scripts: tuple[ScriptSource | None, ...]
+    scripts: tuple[ScriptSource, ...]
+
+    @staticmethod
+    def named(scripts: Iterable[ScriptSource | None]) -> tuple[ScriptSource, ...]:
+        """`scripts` as a tuple, or ValueError if one is missing: an anomaly
+        is reported by the script that shows it."""
+        named = tuple(scripts)
+        for script in named:
+            if script is None:
+                raise ValueError("every PropertySet needs a source to identify supporters")
+        return named
 
     @classmethod
     def of(
         cls, property_sets: Sequence[PropertySet], extra: Iterable[TemporalProperty] = ()
     ) -> Vocabulary:
         """Group `property_sets` by their properties; `extra` properties get
-        bits too, though no set carries them."""
+        bits too, though no set carries them. Every set must have a source."""
+        scripts = cls.named(ps.source for ps in property_sets)
         by_set: dict[frozenset[TemporalProperty], list[int]] = {}
         for position, ps in enumerate(property_sets):
             by_set.setdefault(ps.properties, []).append(position)
@@ -89,7 +94,7 @@ class Vocabulary:
             items=items,
             masks=tuple(sum(1 << index[p] for p in s) for s in by_set),
             groups=tuple(tuple(g) for g in by_set.values()),
-            scripts=tuple(ps.source for ps in property_sets),
+            scripts=scripts,
         )
 
     @cached_property

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,34 @@ def test_rank_anomalies_filters_by_confidence():
     assert [a.rank for a in anomalies] == [1, 2, 3]
     assert all(a.confidence == Fraction(20, 23) for a in anomalies)
     assert all(a.same_deviation_count == 3 for a in anomalies)
+
+
+@pytest.mark.parametrize(
+    "analyse",
+    [
+        lambda sets: mine_closed_patterns(sets, 1),
+        lambda sets: find_violations(mine_closed_patterns(sets[:-1], 1), sets, RELAXED),
+        lambda sets: detect_anomalies(sets, RELAXED),
+        lambda sets: parameter_sweep(sets, [1], ["0.01"]),
+    ],
+    ids=["mine_closed_patterns", "find_violations", "detect_anomalies", "parameter_sweep"],
+)
+def test_a_property_set_without_a_source_is_refused(analyse):
+    # The source-less script deviates from the class pattern, so an
+    # unchecked run would report a violation that names no script.
+    sets = _classroom_sets(20, 0)
+    sets.append(PropertySet(source=None, properties=FIG_BUGGY_PROPS))
+    with pytest.raises(ValueError, match="source"):
+        analyse(sets)
+
+
+def test_rank_anomalies_refuses_a_violation_without_a_script():
+    sets = _classroom_sets(20, 1)
+    violations = find_violations(mine_closed_patterns(sets, 20), sets, RELAXED)
+    assert violations
+    violations[0] = replace(violations[0], script=None)
+    with pytest.raises(ValueError, match="source"):
+        rank_anomalies(violations, RELAXED)
 
 
 def test_classroom_yields_exactly_one_anomaly():

@@ -137,10 +137,10 @@ def test_threshold_above_transaction_count_yields_nothing():
 
 def test_bad_min_support_rejected():
     sets = _two_script_sets()
-    with pytest.raises(InvalidConfig):
-        mine_closed_patterns(sets, min_support=0)
-    with pytest.raises(InvalidConfig):
-        mine_closed_patterns(sets, min_support=-5)
+    # bool is a subclass of int, but True is not the count 1.
+    for bad in (0, -5, True, 2.5, "2"):
+        with pytest.raises(InvalidConfig, match="min_support"):
+            mine_closed_patterns(sets, min_support=bad)
 
 
 def test_empty_transaction_list_rejected():

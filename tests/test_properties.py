@@ -155,8 +155,8 @@ def test_property_set_remembers_its_script(fig_project):
     model = build_script_model(script, fig_project)
     found = props(model)
     assert found.source == script
-    assert len(found) == 9
-    assert prop(HAT, "control_forever") in found
+    assert len(found.properties) == 9
+    assert prop(HAT, "control_forever") in found.properties
 
 
 def test_property_display_uses_block_names():
