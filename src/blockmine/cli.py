@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .corpus import generate_corpus, load_corpus_spec
 from .ingest import ProjectScripts, iter_project_scripts, load_project, usable_cpus
-from .mining import MiningConfig, PRESETS, as_confidence
+from .mining import MiningConfig, PRESETS, as_confidence, as_count
 from .report import (
     AnomalyReport,
     analyze_dataset,
@@ -53,16 +54,29 @@ from .report import (
 _ENV_PREFIX = "BLOCKMINE_"
 
 
-def _supports(text: str) -> list[int]:
-    values = [int(part) for part in text.split(",") if part.strip()]
-    if not values or min(values) < 1:
+def _text(text: str, name: str) -> str:
+    return text
+
+
+@dataclass(frozen=True)
+class _Count:
+    """Parses text as a count of at least `minimum`."""
+
+    minimum: int = 1
+
+    def __call__(self, text: str, name: str) -> int:
+        return as_count(int(text), name, self.minimum)
+
+
+def _supports(text: str, name: str) -> list[int]:
+    values = [as_count(int(part), name) for part in text.split(",") if part.strip()]
+    if not values:
         raise ValueError("expected comma-separated positive integers")
     return values
 
 
-def _confidences(text: str) -> list[Fraction]:
-    values = [as_confidence(part.strip(), "confidence") for part in text.split(",")
-              if part.strip()]
+def _confidences(text: str, name: str) -> list[Fraction]:
+    values = [as_confidence(part.strip(), name) for part in text.split(",") if part.strip()]
     if not values:
         raise ValueError("expected comma-separated numbers in (0, 1]")
     return values
@@ -72,20 +86,19 @@ def _confidences(text: str) -> list[Fraction]:
 class _Option:
     """One flag `--<name>` with its fallback variable BLOCKMINE_<NAME>.
 
-    `parse` turns text from the command line, the environment or `default`
-    into the value the commands read; a value below `minimum` is refused.
-    An option with a `field` takes its default from the preset, or else
-    from MiningConfig(), which checks the value itself.
+    `parse(text, flag)` turns text from the command line, the environment
+    or `default` into the value the commands read, and raises ValueError or
+    InvalidConfig for text it refuses. An option with a `field` takes its
+    default from the preset, or else from MiningConfig().
     """
 
     name: str
-    parse: Callable[[str], Any]
+    parse: Callable[[str, str], Any]
     help: str
     metavar: str | None = None
     default: Any = None
     field: str | None = None
     choices: tuple[str, ...] = ()
-    minimum: int | None = None
 
     @property
     def flag(self) -> str:
@@ -98,29 +111,42 @@ class _Option:
     def fallback(self, preset: MiningConfig) -> Any:
         return getattr(preset, self.field) if self.field else self.default
 
+    def parsed(self, text: str, source: str) -> Any:
+        """`text` from `source`, the flag or the variable, parsed and
+        checked; InvalidConfig names the source."""
+        try:
+            value = self.parse(text, self.flag)
+        except (ValueError, InvalidConfig) as exc:
+            raise InvalidConfig(f"bad {source}={text!r}: {exc}") from exc
+        if self.choices and value not in self.choices:
+            raise InvalidConfig(
+                f"bad {source}={text!r}: expected one of {', '.join(self.choices)}"
+            )
+        return value
+
 
 _OPTIONS = {
     option.name: option
     for option in (
-        _Option("preset", str, "named parameter preset; explicit flags override its values",
+        _Option("preset", _text, "named parameter preset; explicit flags override its values",
                 choices=tuple(sorted(PRESETS))),
-        _Option("min_support", int, "scripts a pattern must occur in", "N",
+        _Option("min_support", _Count(), "scripts a pattern must occur in", "N",
                 field="min_support"),
-        _Option("min_confidence", Fraction, "confidence threshold in (0,1]", "C",
+        _Option("min_confidence", as_confidence, "confidence threshold in (0,1]", "C",
                 field="min_confidence"),
-        _Option("min_size", int, "smallest pattern checked for violations", "N",
+        _Option("min_size", _Count(), "smallest pattern checked for violations", "N",
                 field="min_pattern_size"),
-        _Option("max_deviation", int, "largest deviation reported", "N",
+        _Option("max_deviation", _Count(), "largest deviation reported", "N",
                 field="max_deviation_level"),
-        _Option("jobs", int, "most processes that load archives; only large classrooms fork",
-                "N", default=usable_cpus(), minimum=1),
-        _Option("top", int, "how many anomalies to report", "N", default=10, minimum=0),
+        _Option("jobs", _Count(), "most processes that load archives; only large classrooms fork",
+                "N", default=usable_cpus()),
+        _Option("top", _Count(0), "how many anomalies to report", "N", default=10),
         _Option("supports", _supports, "comma-separated supports", "LIST",
                 default="1,5,10,15,20"),
         _Option("confidences", _confidences, "comma-separated confidences", "LIST",
                 default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"),
-        _Option("format", str, "output format"),
-        _Option("out", str, "output file, or directory for one file per item", "PATH"),
+        _Option("format", _text, "output format"),
+        _Option("out", _text, "output file, or directory for one file per item", "PATH"),
     )
 }
 
@@ -154,18 +180,7 @@ def _resolve(args: argparse.Namespace, command: _Command) -> None:
         if value is None:
             value = option.fallback(preset)
         if isinstance(value, str):
-            try:
-                value = option.parse(value)
-            except (ValueError, ZeroDivisionError, InvalidConfig) as exc:
-                raise InvalidConfig(f"bad {source}={value!r}: {exc}") from exc
-        if option.choices and value is not None and value not in option.choices:
-            raise InvalidConfig(
-                f"bad {source}={value!r}: expected one of {', '.join(option.choices)}"
-            )
-        if option.minimum is not None and value < option.minimum:
-            raise InvalidConfig(
-                f"bad {source}={value!r}: {option.flag} must be >= {option.minimum}"
-            )
+            value = option.parsed(value, source)
         setattr(args, option.name, value)
         if option.name == "preset" and value is not None:
             preset = PRESETS[value]
@@ -288,7 +303,9 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser. An option not given on the command line is None
-    in the parsed namespace; integer flags arrive as int, the rest as text."""
+    in the parsed namespace. Count flags arrive as int, parsed and checked
+    by the same `_Option.parsed` that `_resolve` applies to their variables;
+    the rest arrive as text."""
     parser = _Parser(
         prog="blockmine",
         description="Find unusual solutions in a directory of Scratch 3 projects.",
@@ -303,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
             where = option.env if shown is None else f"{option.env}, default {shown}"
             p.add_argument(
                 option.flag,
-                type=int if option.parse is int else None,
-                choices=option.choices or None,
+                type=partial(option.parsed, source=option.flag)
+                if isinstance(option.parse, _Count) else None,
                 default=None,
-                metavar=option.metavar,
+                metavar=option.metavar or "{" + ",".join(option.choices) + "}",
                 help=f"{option.help} ({where})",
             )
     return parser

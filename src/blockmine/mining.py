@@ -43,8 +43,10 @@ def as_count(value: object, name: str, minimum: int = 1) -> int:
     """`value` as a count: an int, not a bool, of at least `minimum`.
     Raises InvalidConfig naming `name`."""
     # bool is a subclass of int, but True is not a count.
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise InvalidConfig(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidConfig(f"{name} must be >= {minimum}, got {value!r}")
     return value
 
 
@@ -163,13 +165,15 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
 
     Closed itemsets are intersections of transactions, so mining runs over
     the distinct property sets, each weighted by its number of scripts.
-    It uses closure extension over transaction-id bitmasks: a candidate
-    built by adding item i to a closed set is kept only when its closure
-    adds no item ordered before i, which visits every closed frequent
-    itemset exactly once without storing candidates. Items with one tid
-    mask always close together (CHARM, Zaki and Hsiao 2002): a later one
-    has the first in its closure but not in the intent, so that check
-    would reject it, and only the first item of each tid mask is tried.
+    It uses closure extension over transaction-id bitmasks: adding item i
+    to a closed set is kept only when the closure adds no item before i,
+    which visits every closed frequent itemset exactly once. Items with one
+    tid mask always close together (CHARM, Zaki and Hsiao 2002): a later
+    one has the first in its closure but not in the intent, so that check
+    would reject it, and only the first item of each tid mask is tried. A
+    child's tid mask is a subset of its parent's, so an item infrequent at
+    a node stays infrequent below it (LCM, Uno, Kiyomi and Arimura 2004):
+    each node tries only the items its parent found frequent.
     """
     as_count(min_support, "min_support")
     n = len(vocab.scripts)
@@ -202,14 +206,10 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
     found: list[tuple[int, int, int]] = [(root, all_tids, n)] if root else []
 
     # Depth-first over prefix-preserving closure extensions.
-    stack: list[tuple[int, int, int]] = [(root, all_tids, -1)]
+    stack: list[tuple[int, int, int]] = [(root, all_tids, leader_mask & ~root)]
     while stack:
-        intent, tidmask, core = stack.pop()
-        # Only items some transaction in the tid mask carries can extend it.
-        present = 0
-        for t in bits(tidmask):
-            present |= masks[t]
-        candidates = present & leader_mask & ~intent & ~((1 << (core + 1)) - 1)
+        intent, tidmask, candidates = stack.pop()
+        frequent = 0  # the frequent candidates tried so far: the children's
         while candidates:
             i = candidates.bit_length() - 1
             candidates ^= 1 << i
@@ -217,11 +217,12 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
             weight = weight_of(extended)
             if weight < min_support:
                 continue
+            frequent |= 1 << i
             new_intent = closure(extended)
             if new_intent & ~intent & ((1 << i) - 1):
                 continue  # closure reaches back before i: seen on another branch
             found.append((new_intent, extended, weight))
-            stack.append((new_intent, extended, i))
+            stack.append((new_intent, extended, frequent & ~new_intent))
 
     # Bit order is property order, so this is Pattern.sort_key's order.
     found.sort(key=lambda f: (-f[2], -f[0].bit_count(), tuple(bits(f[0]))))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .blocks import BlockLabel
@@ -167,6 +168,27 @@ def format_properties(properties: Iterable[TemporalProperty]) -> str:
     return "\n".join(p.display for p in sorted_properties(properties))
 
 
+def _node_ids(labels: Sequence[BlockLabel]) -> dict[BlockLabel, str]:
+    """A DOT node id per label: `b_` and the label key, each character
+    other than a letter or digit made `_`. Labels whose ids would collide,
+    such as `call 'jump up'` and `call 'jump_up'`, each get a suffix `_1`,
+    `_2`, ... in the order given, skipping any id already in use."""
+    by_id: dict[str, list[BlockLabel]] = {}
+    for label in labels:
+        safe = "".join(c if c.isalnum() else "_" for c in label.key())
+        by_id.setdefault(f"b_{safe}", []).append(label)
+    ids, taken = {}, set(by_id)
+    for base, group in by_id.items():
+        if len(group) == 1:
+            ids[group[0]] = base
+            continue
+        suffixed = (f"{base}_{n}" for n in count(1))
+        for label in group:
+            ids[label] = next(i for i in suffixed if i not in taken)
+            taken.add(ids[label])
+    return ids
+
+
 def properties_to_dot(
     properties: Iterable[TemporalProperty],
     missing: Iterable[TemporalProperty] = (),
@@ -188,23 +210,21 @@ def properties_to_dot(
         if p not in missing_set:
             present_labels.update((p.first, p.second))
 
-    def node_id(label: BlockLabel) -> str:
-        safe = "".join(c if c.isalnum() else "_" for c in label.key())
-        return f"b_{safe}"
-
+    labels = sorted(all_labels)
+    node_id = _node_ids(labels)
     lines = [f"digraph {dot_quote(title)} {{"]
     lines.append("  rankdir=LR;")
     lines.append('  node [shape=box, style=rounded, fontname="Helvetica"];')
-    for label in sorted(all_labels):
+    for label in labels:
         attrs = f"label={dot_quote(label.display)}"
         if label not in present_labels:
             attrs += ', color="red", fontcolor="red", style="rounded,dotted"'
-        lines.append(f"  {node_id(label)} [{attrs}];")
+        lines.append(f"  {node_id[label]} [{attrs}];")
     for p in props_list:
         attrs = ""
         if p in missing_set:
             attrs = ' [color="red", style=dotted]'
-        lines.append(f"  {node_id(p.first)} -> {node_id(p.second)}{attrs};")
+        lines.append(f"  {node_id[p.first]} -> {node_id[p.second]}{attrs};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

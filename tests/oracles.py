@@ -16,6 +16,7 @@ import zipfile
 import zlib
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, islice
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -40,6 +41,8 @@ from blockmine import ingest
 from blockmine.blocks import PROCEDURE_OPCODES, BlockKind, classify_opcode
 from blockmine.errors import ArchiveUnreadable, MalformedProject
 from blockmine.ingest import MAX_NESTING, RawBlock
+from blockmine.mining import Supporters, as_count
+from blockmine.properties import Vocabulary, bits
 
 
 def brute_force_closed(
@@ -394,6 +397,76 @@ def naive_patterns(property_sets: Sequence[PropertySet], min_support: int) -> li
         if len(holders) >= min_support:
             patterns.append(Pattern(itemset, len(holders), frozenset(holders)))
     return sorted(patterns, key=Pattern.sort_key)
+
+
+def present_pass_mine(vocab: Vocabulary, min_support: int) -> list[Pattern]:
+    """`mining.mine_vocabulary` as it was before candidates were handed
+    down: every search node ORs the property masks of all its transactions
+    to find the items that can extend it, and tests every one of them.
+    Unlike brute_force_closed it scales to classrooms of open-ended tasks,
+    so it serves as the reference for the miner there."""
+    as_count(min_support, "min_support")
+    n = len(vocab.scripts)
+    if min_support > n:
+        return []
+
+    masks, item_tids = vocab.masks, vocab.item_tids
+    weights = [len(g) for g in vocab.groups]
+
+    # Items often share a tid mask, so extensions repeat: remember both.
+    @cache
+    def weight_of(tidmask: int) -> int:
+        return sum(weights[t] for t in bits(tidmask))
+
+    @cache
+    def closure(tidmask: int) -> int:
+        """Items shared by every transaction in a nonempty tid mask."""
+        intent = -1
+        for t in bits(tidmask):
+            intent &= masks[t]
+        return intent
+
+    leaders: dict[int, int] = {}
+    for i, tids in enumerate(item_tids):
+        leaders.setdefault(tids, i)
+    leader_mask = sum(1 << i for i in leaders.values())
+
+    all_tids = (1 << len(masks)) - 1
+    root = closure(all_tids)
+    found: list[tuple[int, int, int]] = [(root, all_tids, n)] if root else []
+
+    # Depth-first over prefix-preserving closure extensions.
+    stack: list[tuple[int, int, int]] = [(root, all_tids, -1)]
+    while stack:
+        intent, tidmask, core = stack.pop()
+        # Only items some transaction in the tid mask carries can extend it.
+        present = 0
+        for t in bits(tidmask):
+            present |= masks[t]
+        candidates = present & leader_mask & ~intent & ~((1 << (core + 1)) - 1)
+        while candidates:
+            i = candidates.bit_length() - 1
+            candidates ^= 1 << i
+            extended = item_tids[i] & tidmask
+            weight = weight_of(extended)
+            if weight < min_support:
+                continue
+            new_intent = closure(extended)
+            if new_intent & ~intent & ((1 << i) - 1):
+                continue  # closure reaches back before i: seen on another branch
+            found.append((new_intent, extended, weight))
+            stack.append((new_intent, extended, i))
+
+    # Bit order is property order, so this is Pattern.sort_key's order.
+    found.sort(key=lambda f: (-f[2], -f[0].bit_count(), tuple(bits(f[0]))))
+    return [
+        Pattern(
+            properties=vocab.properties(intent),
+            support=weight,
+            supporters=Supporters(vocab, tidmask, weight),
+        )
+        for intent, tidmask, weight in found
+    ]
 
 
 def naive_find_violations(

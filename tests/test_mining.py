@@ -9,6 +9,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmine import (
     AnomalyReport,
@@ -27,12 +29,14 @@ from blockmine import (
     report_to_json,
     support,
 )
-from blockmine import mining
+from blockmine import BlockLabel, TemporalProperty, mining
+from blockmine.mining import mine_vocabulary
 from blockmine.properties import Vocabulary
 from conftest import FIG_BUGGY_PROPS, FIG_BUGGY_SCRIPT, FIG_PROPS, FIG_SCRIPT
 from oracles import (
     brute_force_closed,
     dummy_sources,
+    present_pass_mine,
     random_bundled_instance,
     random_mining_instance,
 )
@@ -128,6 +132,92 @@ def test_miner_matches_brute_force_when_items_share_columns():
         items += len(vocab.items)
         shared += len(vocab.items) - len(set(vocab.item_tids))
     assert 2 * shared > items  # most items repeat another's column
+
+
+_WIDE_UNIVERSE = [
+    TemporalProperty(BlockLabel(f"op_{a}"), BlockLabel(f"op_{b}")) for a in "abcdef" for b in "abcd"
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    transactions=st.lists(
+        st.frozensets(st.sampled_from(_WIDE_UNIVERSE), max_size=len(_WIDE_UNIVERSE)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_miner_matches_brute_force_when_sets_are_nearly_all_distinct(data, transactions):
+    # Over 24 items few transactions repeat, so most items are frequent at
+    # a node and rare below it: the case where each node's frequent items
+    # are handed down to its children.
+    min_support = data.draw(st.integers(1, len(transactions)))
+    mined = mine_closed_patterns(_sets_from(transactions), min_support)
+    expected = sorted(
+        brute_force_closed(transactions, min_support),
+        key=lambda found: Pattern(found[0], found[1], frozenset()).sort_key(),
+    )
+    assert [(p.properties, p.support) for p in mined] == expected
+
+
+# An open-ended task: every student composes a few of 24 idioms under a
+# hat, and half add one extra command, so nearly every script differs.
+_IDIOM_COMMANDS = [
+    "motion_movesteps", "motion_turnright", "motion_turnleft", "motion_gotoxy",
+    "motion_changexby", "motion_changeyby", "motion_setx", "motion_sety",
+    "motion_ifonedgebounce", "motion_pointindirection", "looks_say", "looks_sayforsecs",
+    "looks_think", "looks_nextcostume", "looks_switchcostumeto", "looks_changesizeby",
+    "looks_setsizeto", "looks_show", "looks_hide", "sound_play",
+]
+_EXTRA_COMMANDS = [
+    "sound_playuntildone", "sound_changevolumeby", "control_wait", "control_create_clone_of",
+    "event_broadcast", "event_broadcastandwait", "sensing_askandwait", "sensing_resettimer",
+    "data_setvariableto", "data_changevariableby", "data_addtolist", "data_deletealloflist",
+    "pen_clear", "pen_stamp", "pen_penDown", "pen_penUp",
+]
+_OPEN_HATS = [
+    "event_whenflagclicked", "event_whenkeypressed",
+    "event_whenthisspriteclicked", "event_whenstageclicked",
+]
+
+
+def _open_ended_property_sets(n_projects: int, seed: int) -> list[PropertySet]:
+    rng = random.Random(seed)
+    idioms = []
+    for _ in range(24):
+        body = [rng.choice(_IDIOM_COMMANDS) for _ in range(rng.randint(2, 4))]
+        r = rng.random()
+        if r < 0.3:
+            idioms.append([("control_repeat", body)])
+        elif r < 0.4:
+            idioms.append([("control_if_else", body[:1], body[1:])])
+        else:
+            idioms.append(body)
+    projects = []
+    for k in range(n_projects):
+        scripts = []
+        for _ in range(4):
+            script = [rng.choice(_OPEN_HATS)]
+            for _ in range(rng.randint(2, 4)):
+                script.extend(rng.choice(idioms))
+            if rng.random() < 0.5:
+                script.insert(rng.randint(1, len(script)), rng.choice(_EXTRA_COMMANDS))
+            scripts.append(script)
+        projects.append(build_project(f"student_{k:03d}", [("Cat", scripts)]))
+    return extract_property_sets(projects)
+
+
+def test_miner_matches_the_present_pass_reference_on_an_open_ended_task():
+    sets = _open_ended_property_sets(150, seed=5)
+    vocab = Vocabulary.of(sets)
+    assert len(vocab.masks) > 0.9 * len(sets)  # nearly every script differs
+    mined = mine_vocabulary(vocab, 30)
+    reference = present_pass_mine(vocab, 30)
+    assert len(mined) > 1000
+    assert [(p.properties, p.support, p.supporters) for p in mined] == [
+        (p.properties, p.support, p.supporters) for p in reference
+    ]
 
 
 def test_threshold_above_transaction_count_yields_nothing():

@@ -193,6 +193,31 @@ def test_properties_to_dot_renders_without_missing_set():
     assert 'color="red"' not in dot
 
 
+def test_properties_to_dot_gives_colliding_procedure_calls_their_own_nodes():
+    # Both keys read procedures_call_jump_up once made safe for DOT. One
+    # shared node would draw the called 'jump up' red as missing and carry
+    # the edges of both procedures; the other ids stay as they were.
+    hat, move = BlockLabel(HAT), BlockLabel(MOVE)
+    spaced = BlockLabel("procedures_call", "jump up")
+    underscored = BlockLabel("procedures_call", "jump_up")
+    graph = [
+        TemporalProperty(hat, spaced),
+        TemporalProperty(hat, underscored),
+        TemporalProperty(spaced, move),
+    ]
+    dot = properties_to_dot(graph, missing=graph[1:2], title="jump")
+    assert dot.splitlines()[3:-1] == [
+        '  b_event_whenflagclicked [label="when green flag"];',
+        '  b_motion_movesteps [label="move steps"];',
+        """  b_procedures_call_jump_up_1 [label="call 'jump up'"];""",
+        """  b_procedures_call_jump_up_2 [label="call 'jump_up'", color="red","""
+        """ fontcolor="red", style="rounded,dotted"];""",
+        "  b_event_whenflagclicked -> b_procedures_call_jump_up_1;",
+        '  b_event_whenflagclicked -> b_procedures_call_jump_up_2 [color="red", style=dotted];',
+        "  b_procedures_call_jump_up_1 -> b_motion_movesteps;",
+    ]
+
+
 def test_temporal_property_is_hashable_and_ordered():
     a = prop(HAT, MOVE)
     b = prop(HAT, MOVE)

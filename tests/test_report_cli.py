@@ -530,7 +530,7 @@ def test_text_and_json_reports_name_the_same_anomalies(classroom_result):
 
 
 @pytest.mark.parametrize(
-    "variable, value, command",
+    "source, value, command",
     [
         ("BLOCKMINE_PRESET", "huge-class", "mine"),
         ("BLOCKMINE_MIN_SUPPORT", "lots", "mine"),
@@ -543,14 +543,29 @@ def test_text_and_json_reports_name_the_same_anomalies(classroom_result):
         ("BLOCKMINE_FORMAT", "xml", "mine"),
         ("BLOCKMINE_SUPPORTS", "5,x", "sweep"),
         ("BLOCKMINE_CONFIDENCES", "0.5,/", "sweep"),
+        # Out of range: each names its source, whether variable or flag.
+        ("BLOCKMINE_MIN_SUPPORT", "0", "mine"),
+        ("BLOCKMINE_MIN_CONFIDENCE", "2", "mine"),
+        ("BLOCKMINE_MIN_SIZE", "0", "mine"),
+        ("BLOCKMINE_MAX_DEVIATION", "0", "mine"),
+        ("--min-support", "0", "mine"),
+        ("--min-confidence", "2", "mine"),
+        ("--min-size", "0", "mine"),
+        ("--max-deviation", "0", "mine"),
+        ("--top", "ten", "mine"),
+        ("--supports", "0,5", "sweep"),
     ],
 )
 def test_cli_bad_variable_is_named_before_the_dataset_is_read(
-    tmp_path, capsys, monkeypatch, variable, value, command
+    tmp_path, capsys, monkeypatch, source, value, command
 ):
-    monkeypatch.setenv(variable, value)
-    assert main([command, str(tmp_path / "missing")]) == 1
-    assert variable in capsys.readouterr().err
+    argv = [command, str(tmp_path / "missing")]
+    if source.startswith("--"):
+        argv.append(f"{source}={value}")
+    else:
+        monkeypatch.setenv(source, value)
+    assert main(argv) == 1
+    assert f"bad {source}={value!r}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
