@@ -16,12 +16,12 @@ Violation or Anomaly object built, only when something reads them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from itertools import accumulate, groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidConfig
@@ -137,14 +137,19 @@ class DeviationClasses:
 
     def violations(self) -> Sequence[Violation]:
         """Pattern by pattern, and in dataset order within a pattern."""
-        by_pattern: list[list[_DeviationClass]] = [[] for _ in self.patterns]
-        for c in self.classes:
-            by_pattern[c.pattern].append(c)
+        # __init__ appends each pattern's classes as one run: bisect finds it.
+        classes = self.classes
+        runs = [
+            (j, sum(map(attrgetter("weight"), run)))
+            for j, run in groupby(classes, attrgetter("pattern"))
+        ]
 
-        def build(j: int, start: int) -> list[Violation]:
-            return self._build_violations(self._members(by_pattern[j]))
+        def build(block: int, start: int) -> list[Violation]:
+            j = runs[block][0]
+            run = classes[bisect_left(classes, (j,)) : bisect_left(classes, (j + 1,))]
+            return self._build_violations(self._members(run))
 
-        return _LazySequence((sum(c.weight for c in cs) for cs in by_pattern), build)
+        return _LazySequence((weight for _, weight in runs), build)
 
     def anomalies(self, min_confidence: Fraction) -> Sequence[Anomaly]:
         """The violations whose confidence reaches min_confidence, ranked."""

@@ -2,7 +2,8 @@
 
 
 class BlockmineError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for unreadable data, bad configuration and unwritable
+    output. A call that breaks the Python API's contract raises ValueError."""
 
 
 class ArchiveUnreadable(BlockmineError):

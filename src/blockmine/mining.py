@@ -79,9 +79,9 @@ class Supporters(AbstractSet):
     read-only set.
 
     The members are looked up only when the set is iterated, searched or
-    hashed, and then kept. Its length is the mask's weight when every
-    script of the vocabulary is a different one, so taking it builds
-    nothing. It compares and hashes like the frozenset of its members.
+    hashed, and then kept. `Vocabulary.of` refuses a repeated script, so
+    its length is the mask's weight and taking it builds nothing. It
+    compares and hashes like the frozenset of its members.
     """
 
     def __init__(self, vocab: Vocabulary, tidmask: int, weight: int) -> None:
@@ -100,7 +100,7 @@ class Supporters(AbstractSet):
         return self._members
 
     def __len__(self) -> int:
-        return self._weight if self._vocab.distinct_scripts else len(self.members())
+        return self._weight
 
     def __iter__(self) -> Iterator[ScriptSource]:
         return iter(self.members())

@@ -166,15 +166,12 @@ def _canonical(
     transitions: Iterable[Transition],
     source: ScriptSource | None,
 ) -> ScriptModel:
-    """Renumber locations 0..n-1 in deterministic breadth-first order."""
-    exits = tuple(exits)
+    """Renumber locations 0..n-1 in deterministic breadth-first order; every
+    location must be reachable from `entry`."""
     transitions = tuple(transitions)
     adjacency: dict[int, list[tuple[tuple, int]]] = {}
-    locations: set[int] = {entry} | set(exits)
     for src, label, dst in transitions:
         adjacency.setdefault(src, []).append(((_label_order(label), dst), dst))
-        locations.add(src)
-        locations.add(dst)
 
     order: dict[int, int] = {entry: 0}
     queue = [entry]
@@ -184,9 +181,6 @@ def _canonical(
             if dst not in order:
                 order[dst] = len(order)
                 queue.append(dst)
-    for loc in sorted(locations):
-        if loc not in order:
-            order[loc] = len(order)
 
     return ScriptModel(
         entry=order[entry],

@@ -8,6 +8,7 @@ a block inside a loop can precede itself.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -84,8 +85,12 @@ class Vocabulary:
         cls, property_sets: Sequence[PropertySet], extra: Iterable[TemporalProperty] = ()
     ) -> Vocabulary:
         """Group `property_sets` by their properties; `extra` properties get
-        bits too, though no set carries them. Every set must have a source."""
+        bits too, though no set carries them. Every set must have a source,
+        and no two the same one: a script is counted once."""
         scripts = cls.named(ps.source for ps in property_sets)
+        if len(set(scripts)) < len(scripts):
+            repeated = next(s for s, n in Counter(scripts).items() if n > 1)
+            raise ValueError(f"two property sets have the source {repeated!r}")
         by_set: dict[frozenset[TemporalProperty], list[int]] = {}
         for position, ps in enumerate(property_sets):
             by_set.setdefault(ps.properties, []).append(position)
@@ -110,12 +115,6 @@ class Vocabulary:
             for i in bits(mask):
                 tids[i] |= 1 << k
         return tuple(tids)
-
-    @cached_property
-    def distinct_scripts(self) -> bool:
-        """True when no two positions hold the same script: then a group
-        of positions has as many scripts as positions."""
-        return len(set(self.scripts)) == len(self.scripts)
 
     def mask(self, properties: Iterable[TemporalProperty]) -> int:
         return sum(1 << self._index[p] for p in set(properties))

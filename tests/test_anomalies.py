@@ -182,9 +182,20 @@ def test_a_property_set_without_a_source_is_refused(analyse):
     # The source-less script deviates from the class pattern, so an
     # unchecked run would report a violation that names no script.
     sets = _classroom_sets(20, 0)
-    sets.append(PropertySet(source=None, properties=FIG_BUGGY_PROPS))
     with pytest.raises(ValueError, match="source"):
-        analyse(sets)
+        analyse([*sets, PropertySet(source=None, properties=FIG_BUGGY_PROPS)])
+    # So does a second set of one script, which would also count it twice.
+    repeat = replace(sets[10], properties=FIG_BUGGY_PROPS)
+    with pytest.raises(ValueError, match="source.*'student_010'"):
+        analyse([*sets, repeat])
+
+
+def test_analyze_dataset_refuses_a_project_given_twice():
+    project = build_project("student_000", [("Cat", [FIG_SCRIPT])])
+    config = MiningConfig(min_support=1)
+    assert analyze_dataset([project], config).patterns
+    with pytest.raises(ValueError, match="source.*'student_000'"):
+        analyze_dataset([project, project], config)
 
 
 def test_rank_anomalies_refuses_a_violation_without_a_script():
@@ -598,8 +609,9 @@ def test_counted_pipeline_matches_the_object_oracle(classroom):
     st.sampled_from(_CONFIDENCES),
 )
 def test_ranking_ties_on_one_identifier_keep_the_oracle_order(scripts, min_support, conf):
-    # Scripts drawn from three identifiers, so equal identifiers (and equal
-    # sources) reach the last tie-breaks: deviation order, then input order.
+    # Scripts drawn from three identifiers, so equal identifiers (their
+    # sources differ in root_block) reach the last tie-breaks: deviation
+    # order, then input order.
     sets = [
         PropertySet(ScriptSource(name, "Cat", 0, root_block=f"b{i}"), properties)
         for i, (name, properties) in enumerate(scripts)

@@ -315,6 +315,26 @@ def test_corpus_spec_errors(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"n_correct": 1}, "needs a reference path"),
+        ({"reference": "r.sb3", "mutations": [5]}, "mutation 0 is not an object"),
+        ({"reference": "r.sb3", "mutations": [{"kind": "missing-block"}]},
+         "mutation 0 needs a target selector"),
+        ({"reference": "r.sb3",
+          "mutations": [{"kind": "wrong-block", "target": "motion_movesteps", "replacement": 5}]},
+         "mutation 0 replacement must be a string"),
+    ],
+    ids=["no-reference", "not-an-object", "no-target", "replacement"],
+)
+def test_corpus_spec_refusals_name_the_problem(tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(InvalidConfig, match=message):
+        load_corpus_spec(path)
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         {"reference": "r.sb3", "n_correct": True},
@@ -328,6 +348,20 @@ def test_corpus_spec_rejects_booleans_as_numbers(tmp_path, spec):
     path.write_text(json.dumps(spec))
     with pytest.raises(InvalidConfig):
         load_corpus_spec(path)
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        (("control_if", [], [], "extra"), "too many parts"),
+        (5, "unsupported block spec"),
+        ({"opcode": "motion_movesteps", "reporters": 5}, "reporters must be a mapping"),
+    ],
+    ids=["too-many-parts", "unsupported-type", "reporters"],
+)
+def test_build_project_refuses_a_malformed_block_spec(block, message):
+    with pytest.raises(InvalidConfig, match=message):
+        build_project("oops", [("Cat", [["event_whenflagclicked", block]])])
 
 
 def test_a_bare_string_script_is_rejected():

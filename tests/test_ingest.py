@@ -187,6 +187,15 @@ def test_a_renamed_actor_takes_the_first_free_number(tmp_path):
     assert opcodes["Cat#2"] == {"looks_say"}
 
 
+def test_a_non_object_target_is_dropped_with_a_warning(tmp_path):
+    doc = project_to_document(build_project("odd", [("Cat", [FIG_SCRIPT])]))
+    doc["targets"].insert(1, 5)
+    loaded = load_project(_write_json_project(tmp_path / "odd.json", doc))
+    assert [a.name for a in loaded.actors] == ["Stage", "Cat"]
+    assert loaded.warnings == ("dropped non-object target entry",)
+    assert len(enumerate_scripts(loaded)) == 1
+
+
 def test_duplicate_actor_names_disambiguated(tmp_path):
     doc = {
         "targets": [

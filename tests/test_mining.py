@@ -401,10 +401,13 @@ def test_supporter_count_is_taken_without_listing_the_supporters(monkeypatch):
 
 
 def test_supporters_shared_by_two_property_sets_count_once():
+    # A script listed twice would be one supporter but two units of
+    # support, so the miner refuses the list instead.
     (ps,) = _sets_from([FIG_PROPS])
-    (pattern,) = mine_closed_patterns([ps, ps], 2)
-    assert pattern.support == 2
-    assert len(pattern.supporters) == 1
+    with pytest.raises(ValueError, match="source"):
+        mine_closed_patterns([ps, ps], 1)
+    (pattern,) = mine_closed_patterns([ps], 1)
+    assert len(pattern.supporters) == pattern.support == 1
     assert pattern.supporters == frozenset({ps.source}) == set(pattern.supporters)
     assert hash(pattern.supporters) == hash(frozenset({ps.source}))
 

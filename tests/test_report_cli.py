@@ -163,6 +163,15 @@ def test_model_artifacts_naming_and_dedup(classroom_result):
     parsed = json.loads(texts[0][1])
     assert parsed["kind"] == "script-model"
     assert parsed["entry"] == 0
+    names = ("a b", "a_b", "a_b_Cat_0")
+    colliding = extract_models([build_project(n, [("Cat", [FIG_SCRIPT])]) for n in names])
+    assert [name for name, _ in model_artifacts(colliding)] == [
+        "a_b_Cat_0.dot",
+        "a_b_Cat_0_2.dot",
+        "a_b_Cat_0_Cat_0.dot",
+    ]
+    with pytest.raises(ValueError, match="unknown model format: 'svg'"):
+        model_artifacts(models, fmt="svg")
 
 
 def test_sweep_rendering(classroom_result):
@@ -377,6 +386,25 @@ def test_cli_sweep_csv(cli_classroom, capsys):
     assert len(lines) == 5
 
 
+def test_cli_sweep_json_cells_equal_the_csv_rows(cli_classroom, capsys):
+    argv = ["sweep", str(cli_classroom), "--supports", "1,20", "--confidences", "0.5,0.9"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "parameter-sweep"
+    cells = [f"{c['min_support']},{c['min_confidence']},{c['anomalies']}" for c in doc["cells"]]
+    assert cells == rows and len(rows) == 4
+
+
+def test_cli_extract_models_onto_a_file_cannot_write(cli_classroom, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["extract-models", str(cli_classroom), "--out", str(out)]) == 1
+    assert "cannot write output" in capsys.readouterr().err
+    assert out.read_text() == ""
+
+
 def test_cli_default_sweep_grid_is_5_by_9(cli_classroom, capsys):
     assert main(["sweep", str(cli_classroom)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -554,6 +582,9 @@ def test_text_and_json_reports_name_the_same_anomalies(classroom_result):
         ("--max-deviation", "0", "mine"),
         ("--top", "ten", "mine"),
         ("--supports", "0,5", "sweep"),
+        # An empty grid axis.
+        ("--supports", ",", "sweep"),
+        ("--confidences", " , ", "sweep"),
     ],
 )
 def test_cli_bad_variable_is_named_before_the_dataset_is_read(
