@@ -303,14 +303,19 @@ def rank_anomalies(violations: Sequence[Violation], config: MiningConfig) -> lis
 
     Order: confidence descending, pattern support descending, deviation
     size ascending, script identifier ascending, then pattern and
-    deviation in property order.
+    deviation in property order. Every violation must name its script,
+    and no two the same script and pattern: a script is counted once.
     """
     scripts = Vocabulary.named(v.script for v in violations)
     patterns: dict[Pattern, int] = {}
     members: dict[tuple[int, frozenset[TemporalProperty]], list[int]] = {}
+    seen: set[tuple[ScriptSource, int]] = set()
     for i, v in enumerate(violations):
         j = patterns.setdefault(v.pattern, len(patterns))
         members.setdefault((j, v.deviation), []).append(i)
+        seen.add((v.script, j))
+        if len(seen) == i:  # the pair was seen before
+            raise ValueError(f"two violations of one pattern have the script {v.script!r}")
     deviations = Vocabulary.of([], extra=(p for _, d in members for p in d))
     indices = {  # each class's violations, by index
         _DeviationClass(j, deviations.mask(d), len(found)): found

@@ -207,6 +207,18 @@ def test_rank_anomalies_refuses_a_violation_without_a_script():
         rank_anomalies(violations, RELAXED)
 
 
+def test_rank_anomalies_refuses_a_script_twice_for_one_pattern():
+    sets = _classroom_sets(10, 1)
+    config = MiningConfig(min_support=5, min_confidence="1/2")
+    violations = find_violations(mine_closed_patterns(sets, 5), sets, config)
+    (once,) = rank_anomalies(violations, config)
+    assert once.script.project_id == "student_010"
+    assert (once.rank, once.confidence) == (1, Fraction(10, 11))
+    # Counted twice, the one script would rank #1 and #2 at 5/6.
+    with pytest.raises(ValueError, match="script.*'student_010'"):
+        rank_anomalies(violations + violations, config)
+
+
 def test_classroom_yields_exactly_one_anomaly():
     sets = _classroom_sets(30, 1)
     anomalies = detect_anomalies(sets, MiningConfig())

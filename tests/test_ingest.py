@@ -9,9 +9,11 @@ import random
 import signal
 import struct
 import tempfile
+import warnings
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -354,11 +356,13 @@ def test_mine_opens_each_archive_once_and_walks_each_stack_once(
     archives = sorted(classroom_dir.iterdir())
     stacks = sum(len(a.script_roots) for p in load_dataset(classroom_dir) for a in p.actors)
     assert stacks == len(archives)  # one script per student
+    reads = _counted(monkeypatch, ingest, "_project_document")
     zip_opens = _counted(monkeypatch, zipfile.ZipFile, "__init__")
-    end_records = _counted(monkeypatch, zipfile, "_EndRecData")  # read by is_zipfile too
     walks = _counted(monkeypatch, ingest, "stack_shape")
     assert main(["mine", str(classroom_dir), "--out", str(tmp_path / "report.txt")]) == 0
-    assert len(zip_opens) == len(end_records) == len(archives)
+    assert sorted(path for _, path in reads) == archives
+    # Every archive the corpus writes is plain, so zipfile is never needed.
+    assert zip_opens == []
     assert len(walks) == stacks
 
 
@@ -559,6 +563,194 @@ def test_damaged_zip_bytes_raise_only_load_errors(tmp_path, compression):
             load_project(path)
         except (ArchiveUnreadable, MalformedProject):
             pass
+
+
+# The archive reader's fast path against zipfile. _plain_member reads a
+# plain archive itself and leaves every other one to zipfile; either way
+# _project_document must give what zipfile alone gives.
+_PAYLOADS = [
+    _VALID_PAYLOAD,
+    project_payload(build_project("other", [("Dog", [FIG_BUGGY_SCRIPT])])),
+    b'{"targets": [' + b" " * 70_000 + b"]}",  # inflates in more than one read
+    b"[]",
+    b"not json",
+    b"",
+]
+# The last 20 bytes of a central directory whose last entry has this name
+# read as a zip64 end record locator.
+_LOCATOR_LOOKALIKE = "PK\x06\x07" + "A" * 16
+_ASSET_NAMES = [
+    "a.png",
+    "costume-\u00e9.svg",  # UTF-8-flagged
+    "project.json.bak",  # names project.json once a flip writes a NUL after it
+    _LOCATOR_LOOKALIKE,
+]
+_METHODS = [zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED, zipfile.ZIP_BZIP2]
+# A flip writes a byte at an offset from the start, from the end or
+# anywhere in an archive; the headers and the central directory sit
+# near its two ends.
+_FLIPS = st.lists(
+    st.tuples(st.sampled_from(["start", "end", "any"]), st.integers(0, 1 << 20),
+              st.integers(0, 255)),
+    max_size=3,
+)
+_RARELY = st.sampled_from([False, False, False, True])  # so that most archives stay plain
+
+
+def _reader_outcome(data: bytes):
+    """What _project_document gives for `data`: the document, or the
+    error's type and message."""
+    try:
+        return ingest._project_document(data, Path("fuzzed.sb3"))
+    except BlockmineError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_read_as_zipfile_reads(data: bytes, cap: int = ingest.MAX_PROJECT_BYTES) -> bool:
+    """_project_document gives for `data` what it gives with the fast path
+    off; True when the fast path read the archive."""
+    with mock.patch.object(ingest, "MAX_PROJECT_BYTES", cap):
+        fast = ingest._plain_member(data) is not None
+        outcome = _reader_outcome(data)
+        with mock.patch.object(ingest, "_plain_member", lambda data: None):
+            assert outcome == _reader_outcome(data)
+    return fast
+
+
+def _flipped(data: bytes, flips) -> bytes:
+    edited = bytearray(data)
+    for where, offset, value in flips:
+        offset %= len(edited) if where == "any" else min(len(edited), 300)
+        edited[-1 - offset if where == "end" else offset] = value
+    return bytes(edited)
+
+
+def _with_first_entry_twice(data: bytes) -> bytes:
+    """`data` with its first central directory entry written twice, so
+    two entries share one local header offset."""
+    end = data.rfind(b"PK\x05\x06")
+    entries, size, offset = struct.unpack_from("<H2L", data, end + 10)
+    lengths = struct.unpack_from("<3H", data, offset + 28)
+    first = data[offset:offset + 46 + sum(lengths)]
+    record = bytearray(data[end:])
+    struct.pack_into("<2H2L", record, 8, entries + 1, entries + 1, size + len(first), offset)
+    return data[:offset] + first + data[offset:end] + bytes(record)
+
+
+@st.composite
+def _archives(draw):
+    """Archive bytes written by zipfile, and whether they are plain."""
+    before = draw(st.lists(st.sampled_from(_ASSET_NAMES), max_size=2))
+    after = draw(st.lists(st.sampled_from(_ASSET_NAMES), max_size=2))
+    missing = draw(_RARELY)  # no project.json; two copies are a duplicate
+    copies = draw(st.lists(st.tuples(st.sampled_from(_PAYLOADS), st.sampled_from(_METHODS)),
+                           min_size=0 if missing else 1, max_size=0 if missing else 2))
+    comment = draw(_RARELY)
+    zip64 = draw(st.booleans())
+    buffer = io.BytesIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "Duplicate name: 'project.json'"
+        with zipfile.ZipFile(buffer, "w") as zf:
+            for name in before:
+                zf.writestr(name, b"asset " * 20, compress_type=draw(st.sampled_from(_METHODS)))
+            for payload, method in copies:
+                info = zipfile.ZipInfo("project.json")
+                info.compress_type = method
+                with zf.open(info, "w", force_zip64=zip64) as member:
+                    member.write(payload)
+            for name in after:
+                zf.writestr(name, b"asset " * 20, compress_type=draw(st.sampled_from(_METHODS)))
+            if comment:
+                zf.comment = b"a teacher's note"
+    data = buffer.getvalue()
+    names = [*before, *["project.json"] * len(copies), *after]
+    plain = (bool(copies) and copies[-1][1] != zipfile.ZIP_BZIP2 and not comment
+             and names[-1] != _LOCATOR_LOOKALIKE)
+    if (before or copies or after) and draw(_RARELY):
+        data = _with_first_entry_twice(data)
+        plain = plain and (bool(before) or len(copies) > 1)  # else its header is shared
+    if draw(_RARELY):
+        data = b"#!prepended\n" + data
+        plain = False
+    cap = ingest.MAX_PROJECT_BYTES
+    if copies and draw(_RARELY):
+        cap = len(copies[-1][0]) - draw(st.integers(-1, 1))
+        plain = plain and len(copies[-1][0]) <= cap
+    return data, cap, plain
+
+
+@settings(max_examples=400, deadline=None)
+@given(_archives(), _FLIPS)
+def test_the_archive_reader_reads_as_zipfile_reads(archive, flips):
+    data, cap, plain = archive
+    assert _assert_read_as_zipfile_reads(data, cap) is plain
+    if flips:
+        _assert_read_as_zipfile_reads(_flipped(data, flips), cap)
+
+
+def _edited_zip_with_assets(edit) -> bytes:
+    """A deflated zip of a valid project and two assets after it, after
+    edit(data, at) with `at` the asset names' offset in the central
+    directory."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("project.json", _VALID_PAYLOAD)
+        zf.writestr("costume-\u00e9.svg", b"<svg/>")
+        zf.writestr("project.json.bak", b"{}")
+    data = bytearray(buffer.getvalue())
+    edit(data, data.rfind(b"costume-"))
+    return bytes(data)
+
+
+def _version_6_4(data, at):  # zipfile reads zip versions up to 6.3
+    data[data.find(b"PK\x01\x02") + 6] = 64
+
+
+def _undecodable_utf8_name(data, at):
+    data[data.index(b"\xc3", at)] = 0xFF
+
+
+def _nul_after_project_json(data, at):  # zipfile takes "project.json\0bak" as project.json
+    data[data.index(b"project.json.bak", at) + len("project.json")] = 0
+
+
+@pytest.mark.parametrize(
+    "data",
+    [*map(_edited_zip, [_corrupt_deflate_stream, _encrypted, _compression_method_99,
+                        _member_before_the_archive_start, _member_runs_past_the_end]),
+     *map(_edited_zip_with_assets, [_version_6_4, _undecodable_utf8_name,
+                                    _nul_after_project_json]),
+     _with_first_entry_twice(bytes(_zip_bytes(_VALID_PAYLOAD)))],
+    ids=["corrupt-deflate", "encrypted", "compression-99", "negative-offset", "truncated",
+         "version-6.4", "undecodable-name", "nul-in-name", "shared-offset"],
+)
+@settings(max_examples=60, deadline=None)
+@given(flips=_FLIPS)
+def test_the_archive_reader_reads_edited_archives_as_zipfile_reads(data, flips):
+    assert not _assert_read_as_zipfile_reads(data)
+    _assert_read_as_zipfile_reads(_flipped(data, flips))
+
+
+def _length_of_ten(data, central, end):
+    struct.pack_into("<I", data, 22, 10)
+    struct.pack_into("<I", data, central + 24, 10)
+
+
+def test_a_member_longer_than_its_entry_says_is_read_as_zipfile_reads():
+    # zipfile stops inflating at the entry's length and then fails its
+    # CRC-32 check: an archive error, though the stream inflates past the cap.
+    data = _edited_zip(_length_of_ten)
+    assert not _assert_read_as_zipfile_reads(data, cap=100)
+    with mock.patch.object(ingest, "MAX_PROJECT_BYTES", 100):
+        error, message = _reader_outcome(data)
+    assert error is ArchiveUnreadable and "Bad CRC-32" in message
+
+
+def test_the_fast_path_reads_every_archive_the_corpus_writes(tmp_path):
+    project = build_project("ok", [("Cat", [FIG_SCRIPT, FIG_BUGGY_SCRIPT])])
+    data = write_project_archive(project, tmp_path / "ok.sb3").read_bytes()
+    assert ingest._plain_member(data) == project_payload(project)
+    assert _assert_read_as_zipfile_reads(data)
 
 
 def _nested_ifs(depth: int) -> dict:
