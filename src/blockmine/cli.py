@@ -10,19 +10,25 @@ Subcommands:
 Every flag has a BLOCKMINE_* environment variable fallback (flag beats
 environment beats preset beats built-in default). All of them are resolved
 and checked before any input is read. Exit codes: 0 ran to completion,
-1 usage or configuration error, 2 dataset unreadable.
+1 usage or configuration error or output that cannot be written (stdout
+included), 2 dataset unreadable.
+
+Reports are written as they are rendered, one section, pattern or anomaly
+at a time; a failed write to --out removes the partial file.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .anomalies import parameter_sweep
 from .errors import (
@@ -37,14 +43,14 @@ from .ingest import ProjectScripts, iter_project_scripts, load_project, usable_c
 from .mining import MiningConfig, PRESETS, as_confidence, as_count
 from .report import (
     AnomalyReport,
+    _json_chunks,
+    _text_chunks,
     analyze_dataset,
     anomaly_dot_documents,
     document_to_json,
     extract_models,
     extract_property_sets,
     model_artifacts,
-    report_to_json,
-    report_to_text,
     stats_to_document,
     stats_to_text,
     sweep_to_csv,
@@ -189,28 +195,61 @@ def _resolve(args: argparse.Namespace, command: _Command) -> None:
     args.config = MiningConfig(**config)
 
 
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise OutputUnwritable(f"{path}: {exc}") from exc
-
-
 def _write_artifacts(out_dir: Path, artifacts: Sequence[tuple[str, str]]) -> None:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputUnwritable(f"{out_dir}: {exc}") from exc
     for name, text in artifacts:
-        _write_text(out_dir / name, text)
+        _write_file(out_dir / name, (text,))
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _write_file(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks to `path`, opened once. If anything raises after the
+    file is opened, it is closed and, when it is a regular file, removed,
+    so no truncated output is left behind; an OSError becomes
+    OutputUnwritable."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        file = path.open("w", encoding="utf-8")
+    except OSError as exc:
+        raise OutputUnwritable(f"{path}: {exc}") from exc
+    regular = stat.S_ISREG(os.fstat(file.fileno()).st_mode)
+    try:
+        with file:
+            for chunk in chunks:
+                file.write(chunk)
+    except BaseException as exc:
+        if regular:
+            with suppress(OSError):
+                path.unlink()
+        if isinstance(exc, OSError):
+            raise OutputUnwritable(f"{path}: {exc}") from exc
+        raise
+
+
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write the chunks to stdout. Any OSError, a closed pipe included,
+    becomes OutputUnwritable; fd 1 then points at the null device, so the
+    interpreter's final flush of what is left has nowhere to fail."""
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except OSError as exc:
+        with suppress(OSError, ValueError):  # a closed or replaced stdout has no fd
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise OutputUnwritable(f"<stdout>: {exc}") from exc
+
+
+def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
     if args.out is None:
-        sys.stdout.write(text)
+        _write_stdout(chunks)
     else:
-        _write_text(Path(args.out), text)
+        _write_file(Path(args.out), chunks)
 
 
 def _projects(args: argparse.Namespace) -> Iterator[ProjectScripts]:
@@ -220,9 +259,9 @@ def _projects(args: argparse.Namespace) -> Iterator[ProjectScripts]:
 def cmd_stats(args: argparse.Namespace) -> int:
     stats = analyze_dataset(_projects(args), args.config).stats
     if args.format == "json":
-        _emit(args, document_to_json(stats_to_document(stats)))
+        _emit(args, (document_to_json(stats_to_document(stats)),))
     else:
-        _emit(args, stats_to_text(stats))
+        _emit(args, (stats_to_text(stats),))
     return 0
 
 
@@ -231,7 +270,7 @@ def cmd_extract_models(args: argparse.Namespace) -> int:
         raise InvalidConfig("extract-models needs --out DIRECTORY")
     artifacts = model_artifacts(extract_models(_projects(args)), fmt=args.format)
     _write_artifacts(Path(args.out), artifacts)
-    sys.stdout.write(f"wrote {len(artifacts)} model files to {args.out}\n")
+    _write_stdout((f"wrote {len(artifacts)} model files to {args.out}\n",))
     return 0
 
 
@@ -241,13 +280,13 @@ def cmd_mine(args: argparse.Namespace) -> int:
     result = analyze_dataset(_projects(args), args.config)
     report = AnomalyReport(dataset=str(args.dataset), config=args.config, result=result)
     if args.format == "text":
-        _emit(args, report_to_text(report, top=args.top))
+        _emit(args, _text_chunks(report, args.top))
     elif args.format == "json":
-        _emit(args, report_to_json(report, top=args.top))
+        _emit(args, _json_chunks(report, args.top))
     else:
         documents = anomaly_dot_documents(result.anomalies, top=args.top)
         _write_artifacts(Path(args.out), documents)
-        sys.stdout.write(f"wrote {len(documents)} anomaly graphs to {args.out}\n")
+        _write_stdout((f"wrote {len(documents)} anomaly graphs to {args.out}\n",))
     return 0
 
 
@@ -255,9 +294,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     property_sets = extract_property_sets(_projects(args))
     cells = parameter_sweep(property_sets, args.supports, args.confidences, args.config)
     if args.format == "csv":
-        _emit(args, sweep_to_csv(cells))
+        _emit(args, (sweep_to_csv(cells),))
     else:
-        _emit(args, document_to_json(sweep_to_document(cells)))
+        _emit(args, (document_to_json(sweep_to_document(cells)),))
     return 0
 
 
@@ -267,7 +306,7 @@ def cmd_gen_corpus(args: argparse.Namespace) -> int:
     spec = load_corpus_spec(args.spec)
     reference = load_project(spec.reference)
     written = generate_corpus(reference, spec.n_correct, spec.mutations, args.out)
-    sys.stdout.write(f"wrote {len(written)} archives to {args.out}\n")
+    _write_stdout((f"wrote {len(written)} archives to {args.out}\n",))
     return 0
 
 

@@ -8,10 +8,9 @@ and seeds give byte-identical archives.
 
 from __future__ import annotations
 
-import io
 import json
 import random
-import zipfile
+import zlib
 from dataclasses import dataclass
 from enum import Enum, unique
 from pathlib import Path
@@ -19,11 +18,24 @@ from typing import Mapping, Sequence
 
 from .blocks import is_menu_opcode
 from .errors import InvalidConfig, OutputUnwritable
-from .ingest import Actor, RawBlock, RawProject, _parse_target, canvas_roots
+from .ingest import (
+    MAX_PROJECT_BYTES,
+    Actor,
+    RawBlock,
+    RawProject,
+    _CENTRAL_ENTRY,
+    _END_RECORD,
+    _LOCAL_HEADER,
+    _parse_target,
+    canvas_roots,
+)
 from .mining import as_count
 
-# Fixed zip metadata so archive bytes do not depend on the clock.
-_ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+# Fixed zip metadata so archive bytes do not depend on the clock: the one
+# member, stamped 1980-01-01 00:00:00, the first DOS date (year 0 from
+# 1980 << 9, month 1 << 5, day 1) and time.
+_MEMBER = b"project.json"
+_ZIP_TIME, _ZIP_DATE = 0, 1 << 5 | 1
 
 BlockSpec = str | tuple | list | dict
 ScriptSpec = Sequence[BlockSpec]
@@ -234,16 +246,30 @@ def project_payload(project: RawProject) -> bytes:
     ).encode("utf-8")
 
 
-def _zipped(payload: bytes) -> bytes:
-    """An archive holding `payload` as project.json. The entry carries a
-    fixed timestamp, so identical content means identical bytes."""
-    buffer = io.BytesIO()
-    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
-        info = zipfile.ZipInfo("project.json", date_time=_ZIP_EPOCH)
-        info.compress_type = zipfile.ZIP_DEFLATED
-        info.external_attr = 0o644 << 16
-        zf.writestr(info, payload)
-    return buffer.getvalue()
+def _zipped(payload: bytes, path: Path) -> bytes:
+    """An archive holding `payload` as project.json: one deflated entry
+    with a fixed timestamp, so identical content means identical bytes.
+    The bytes are those zipfile writes for that entry on a POSIX system,
+    laid out by the records the loader reads them with. A payload over
+    MAX_PROJECT_BYTES, which the loader would refuse, raises
+    OutputUnwritable naming `path`; so no entry ever needs zip64."""
+    if len(payload) > MAX_PROJECT_BYTES:
+        raise OutputUnwritable(
+            f"{path}: project.json of {len(payload)} bytes is over the"
+            f" {MAX_PROJECT_BYTES} bytes a project may hold"
+        )
+    deflater = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -15)
+    body = deflater.compress(payload) + deflater.flush()
+    # Version 2.0 needed, no flags, deflated, then the DOS time and date.
+    entry = (20, 0, 0, 8, _ZIP_TIME, _ZIP_DATE, zlib.crc32(payload), len(body), len(payload),
+             len(_MEMBER), 0)
+    local = _LOCAL_HEADER.pack(b"PK\x03\x04", *entry) + _MEMBER
+    # Made by version 2.0 on Unix; mode 0644; its local header at offset 0.
+    central = _CENTRAL_ENTRY.pack(b"PK\x01\x02", 20, 3, *entry, 0, 0, 0, 0o644 << 16, 0)
+    end = _END_RECORD.pack(
+        b"PK\x05\x06", 0, 0, 1, 1, len(central) + len(_MEMBER), len(local) + len(body), 0
+    )
+    return b"".join((local, body, central, _MEMBER, end))
 
 
 def _write_bytes(path: Path, data: bytes) -> Path:
@@ -262,7 +288,7 @@ def write_project_archive(project: RawProject, path: str | Path) -> Path:
     """
     p = Path(path)
     payload = project_payload(project)
-    return _write_bytes(p, payload if p.suffix.lower() == ".json" else _zipped(payload))
+    return _write_bytes(p, payload if p.suffix.lower() == ".json" else _zipped(payload, p))
 
 
 @unique
@@ -451,8 +477,9 @@ def generate_corpus(
     except OSError as exc:
         raise OutputUnwritable(f"{out}: {exc}") from exc
 
-    clone = _zipped(project_payload(reference))  # rendered and deflated once
-    written = [_write_bytes(out / f"correct_{i:03d}.sb3", clone) for i in range(n_correct)]
+    clones = [out / f"correct_{i:03d}.sb3" for i in range(n_correct)]
+    clone = _zipped(project_payload(reference), clones[0]) if clones else b""  # deflated once
+    written = [_write_bytes(path, clone) for path in clones]
     for j, spec in enumerate(mutations):
         mutant = apply_mutation(reference, spec)
         name = f"mutant_{j:03d}_{spec.kind.value.replace('-', '_')}.sb3"

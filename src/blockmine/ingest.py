@@ -153,12 +153,12 @@ _ZIP_ERRORS = (zipfile.BadZipFile, OSError, EOFError, ValueError, RuntimeError,
 MAX_PROJECT_BYTES = 64 * 1024 * 1024
 
 
-# The three records of a zip archive that _plain_member reads, as PKWARE's
-# APPNOTE lays them out (sections 4.3.16, 4.3.12 and 4.3.7). The local
-# header is read for its signature and its two name and extra lengths.
+# The three records of a zip archive, as PKWARE's APPNOTE lays them out
+# (sections 4.3.16, 4.3.12 and 4.3.7): _plain_member reads them, and the
+# corpus writer writes them.
 _END_RECORD = struct.Struct("<4s4H2LH")  # 22 bytes
 _CENTRAL_ENTRY = struct.Struct("<4s4B4HL2L5H2L")  # 46 bytes, then name and comment
-_LOCAL_HEADER = struct.Struct("<4s22x2H")  # 30 bytes, then name and extra field
+_LOCAL_HEADER = struct.Struct("<4s2B4HL2L2H")  # 30 bytes, then name and extra field
 # zipfile's own limits: the newest zip version it reads, and the flag bits
 # it refuses a member for (encrypted, compressed patched data, strong
 # encryption) or reads its name by (UTF-8).
@@ -221,7 +221,7 @@ def _plain_member(data: bytes) -> bytes | None:
         if (flags & _REFUSED_FLAGS or method not in (0, 8) or size > MAX_PROJECT_BYTES
                 or offsets.count(offset) > 1):
             return None
-        signature, name_length, extra_length = _LOCAL_HEADER.unpack_from(data, offset)
+        signature, *_, name_length, extra_length = _LOCAL_HEADER.unpack_from(data, offset)
         start = offset + 30 + name_length + extra_length
         limit = min([cd_offset, *(o for o in offsets if o > offset)])
         if (signature != b"PK\x03\x04" or start + packed > limit

@@ -13,6 +13,12 @@ every occurrence its own copy. JSON text is
 newline; before Python 3.13, where `json.dumps` takes its pure-Python
 encoder for `indent`, `_write_json` writes the same bytes with the C string
 encoder.
+
+An anomaly report is also written as a stream of text pieces, one per
+top-level section and one per pattern or anomaly, so that no document list
+and no whole-report string is held (`_json_chunks`, `_text_chunks`; the
+command line writes these). `report_to_json` and `report_to_text` are the
+join of the same pieces.
 """
 
 from __future__ import annotations
@@ -303,7 +309,10 @@ class AnomalyReport:
     result: AnalysisResult
 
 
-def report_to_document(report: AnomalyReport, top: int | None = None) -> dict:
+def _report_sections(report: AnomalyReport, top: int | None) -> dict[str, object]:
+    """The top-level sections of an anomaly report. `patterns` and
+    `anomalies` are iterators that build each item's document as it is
+    read; the other sections are values."""
     anomalies = report.result.anomalies
     if top is not None:
         anomalies = anomalies[: max(top, 0)]
@@ -319,8 +328,15 @@ def report_to_document(report: AnomalyReport, top: int | None = None) -> dict:
         "dataset": report.dataset,
         "config": _config_document(report.config),
         "stats": stats_to_document(report.result.stats),
-        "patterns": [_pattern_document(p, documents) for p in report.result.patterns],
-        "anomalies": [_anomaly_document(a, documents) for a in anomalies],
+        "patterns": (_pattern_document(p, documents) for p in report.result.patterns),
+        "anomalies": (_anomaly_document(a, documents) for a in anomalies),
+    }
+
+
+def report_to_document(report: AnomalyReport, top: int | None = None) -> dict:
+    return {
+        key: list(value) if isinstance(value, Iterator) else value
+        for key, value in _report_sections(report, top).items()
     }
 
 
@@ -407,7 +423,12 @@ def _write_json(value: object) -> str:
         else:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    write(value, 0)
+    try:
+        write(value, 0)
+    finally:
+        # `write` refers to itself; unbound, it and `out` are freed on
+        # return instead of waiting for the cycle collector.
+        del write
     append("\n")
     return "".join(out)
 
@@ -423,54 +444,81 @@ def document_to_json(doc: dict) -> str:
     return _write_json(doc)
 
 
-def report_to_json(report: AnomalyReport, top: int | None = None) -> str:
-    return document_to_json(report_to_document(report, top=top))
+def _nested_json(value: object, newline: str) -> str:
+    """The canonical JSON of `value` as it reads nested in a document, each
+    line break followed by `newline`'s indent. Canonical ASCII JSON holds
+    no raw newline inside a string, so every newline is a line break."""
+    return document_to_json(value)[:-1].replace("\n", newline)
 
 
-def report_to_text(report: AnomalyReport, top: int | None = None) -> str:
+def _json_items(items: Iterator[object]) -> Iterator[str]:
+    """A list at depth 1 of a document, one piece per item."""
+    separator = "[\n    "
+    for item in items:
+        yield separator + _nested_json(item, "\n    ")
+        separator = ",\n    "
+    yield "[]" if separator == "[\n    " else "\n  ]"
+
+
+def _json_chunks(report: AnomalyReport, top: int | None) -> Iterator[str]:
+    """`document_to_json(report_to_document(report, top))` in pieces: one
+    per scalar section and one per pattern or anomaly."""
+    sections = _report_sections(report, top)
+    separator = "{\n  "
+    for key in sorted(sections):
+        value = sections[key]
+        yield f"{separator}{encode_basestring_ascii(key)}: "
+        separator = ",\n  "
+        if isinstance(value, Iterator):
+            yield from _json_items(value)
+        else:
+            yield _nested_json(value, "\n  ")
+    yield "\n}\n"
+
+
+def _text_chunks(report: AnomalyReport, top: int | None) -> Iterator[str]:
+    """The text report in pieces: the header, then one per shown anomaly."""
     result = report.result
     stats = result.stats
     config = report.config
-    lines = [
-        f"dataset: {report.dataset}",
-        (
-            f"config: min_support={config.min_support}"
-            f" min_confidence={format_confidence(config.min_confidence)}"
-            f" min_pattern_size={config.min_pattern_size}"
-            f" max_deviation_level={config.max_deviation_level}"
-        ),
-        (
-            f"{stats.solutions} solutions, {stats.models} script models,"
-            f" {stats.patterns} patterns, {stats.violations} violations,"
-            f" {stats.anomalies} anomalies"
-        ),
-    ]
+    yield (
+        f"dataset: {report.dataset}\n"
+        f"config: min_support={config.min_support}"
+        f" min_confidence={format_confidence(config.min_confidence)}"
+        f" min_pattern_size={config.min_pattern_size}"
+        f" max_deviation_level={config.max_deviation_level}\n"
+        f"{stats.solutions} solutions, {stats.models} script models,"
+        f" {stats.patterns} patterns, {stats.violations} violations,"
+        f" {stats.anomalies} anomalies\n"
+    )
     anomalies = result.anomalies
     shown = anomalies if top is None else anomalies[: max(top, 0)]
     if not anomalies:
-        lines.append("")
-        lines.append("no anomalies at this configuration")
+        yield "\nno anomalies at this configuration\n"
     elif not shown:
-        lines.append("")
-        lines.append(f"{len(anomalies)} anomalies (hidden by top=0)")
+        yield f"\n{len(anomalies)} anomalies (hidden by top=0)\n"
     for anomaly in shown:
-        lines.append("")
-        lines.append(
+        lines = [
+            "",
             f"#{anomaly.rank}  confidence {format_confidence(anomaly.confidence)}"
-            f" ({anomaly.confidence})"
-        )
-        lines.append(f"    script:  {anomaly.script.ident}")
-        lines.append(
+            f" ({anomaly.confidence})",
+            f"    script:  {anomaly.script.ident}",
             f"    pattern: {anomaly.pattern.size} properties,"
-            f" support {anomaly.pattern.support}"
-        )
-        lines.append(f"    missing ({len(anomaly.deviation)}):")
-        for prop in sorted_properties(anomaly.deviation):
-            lines.append(f"      {prop.display}")
-        lines.append(f"    satisfied ({len(anomaly.violation.satisfied)}):")
-        for prop in sorted_properties(anomaly.violation.satisfied):
-            lines.append(f"      {prop.display}")
-    return "\n".join(lines) + "\n"
+            f" support {anomaly.pattern.support}",
+            f"    missing ({len(anomaly.deviation)}):",
+            *(f"      {prop.display}" for prop in sorted_properties(anomaly.deviation)),
+            f"    satisfied ({len(anomaly.violation.satisfied)}):",
+            *(f"      {prop.display}" for prop in sorted_properties(anomaly.violation.satisfied)),
+        ]
+        yield "\n".join(lines) + "\n"
+
+
+def report_to_json(report: AnomalyReport, top: int | None = None) -> str:
+    return "".join(_json_chunks(report, top))
+
+
+def report_to_text(report: AnomalyReport, top: int | None = None) -> str:
+    return "".join(_text_chunks(report, top))
 
 
 def _safe_name(text: str) -> str:

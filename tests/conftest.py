@@ -9,11 +9,13 @@ which changes every temporal property that mentions the move block.
 from __future__ import annotations
 
 import pathlib
+import random
 
 import pytest
 
 from blockmine import (
     BlockLabel,
+    RawProject,
     ScriptModel,
     TemporalProperty,
     build_project,
@@ -109,6 +111,55 @@ def write_classroom(
         project = build_project(name, [("Cat", [FIG_BUGGY_SCRIPT])])
         write_project_archive(project, directory / f"{name}.sb3")
     return directory
+
+
+# An open-ended task: every student composes a few of 24 idioms under a
+# hat, and half add one extra command, so nearly every script differs.
+_IDIOM_COMMANDS = [
+    "motion_movesteps", "motion_turnright", "motion_turnleft", "motion_gotoxy",
+    "motion_changexby", "motion_changeyby", "motion_setx", "motion_sety",
+    "motion_ifonedgebounce", "motion_pointindirection", "looks_say", "looks_sayforsecs",
+    "looks_think", "looks_nextcostume", "looks_switchcostumeto", "looks_changesizeby",
+    "looks_setsizeto", "looks_show", "looks_hide", "sound_play",
+]
+_EXTRA_COMMANDS = [
+    "sound_playuntildone", "sound_changevolumeby", "control_wait", "control_create_clone_of",
+    "event_broadcast", "event_broadcastandwait", "sensing_askandwait", "sensing_resettimer",
+    "data_setvariableto", "data_changevariableby", "data_addtolist", "data_deletealloflist",
+    "pen_clear", "pen_stamp", "pen_penDown", "pen_penUp",
+]
+_OPEN_HATS = [
+    "event_whenflagclicked", "event_whenkeypressed",
+    "event_whenthisspriteclicked", "event_whenstageclicked",
+]
+
+
+def open_ended_projects(n_projects: int, seed: int) -> list[RawProject]:
+    """A classroom of an open-ended task: one sprite of 4 scripts per
+    project, each a hat over 2-4 of 24 random idioms."""
+    rng = random.Random(seed)
+    idioms = []
+    for _ in range(24):
+        body = [rng.choice(_IDIOM_COMMANDS) for _ in range(rng.randint(2, 4))]
+        r = rng.random()
+        if r < 0.3:
+            idioms.append([("control_repeat", body)])
+        elif r < 0.4:
+            idioms.append([("control_if_else", body[:1], body[1:])])
+        else:
+            idioms.append(body)
+    projects = []
+    for k in range(n_projects):
+        scripts = []
+        for _ in range(4):
+            script = [rng.choice(_OPEN_HATS)]
+            for _ in range(rng.randint(2, 4)):
+                script.extend(rng.choice(idioms))
+            if rng.random() < 0.5:
+                script.insert(rng.randint(1, len(script)), rng.choice(_EXTRA_COMMANDS))
+            scripts.append(script)
+        projects.append(build_project(f"student_{k:03d}", [("Cat", scripts)]))
+    return projects
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,7 @@ from typing import Iterator, Sequence
 from blockmine import (
     Actor,
     Anomaly,
+    AnomalyReport,
     BlockLabel,
     MiningConfig,
     Pattern,
@@ -35,7 +36,9 @@ from blockmine import (
     Violation,
     build_script_model,
     enumerate_scripts,
+    format_confidence,
     props,
+    sorted_properties,
 )
 from blockmine import ingest
 from blockmine.blocks import PROCEDURE_OPCODES, BlockKind, classify_opcode
@@ -674,3 +677,62 @@ def label_path_language(model: ScriptModel, depth: int) -> frozenset[tuple]:
                 next_frontier.setdefault(extended, set()).update(closure(dsts))
         frontier_sets = {w: frozenset(s) for w, s in next_frontier.items()}
     return frozenset(language)
+
+
+def zipfile_archive(payload: bytes) -> bytes:
+    """The corpus writer's archive as zipfile writes it: `payload` as one
+    deflated project.json entry with a fixed timestamp and mode 0644."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED) as zf:
+        info = zipfile.ZipInfo("project.json", date_time=(1980, 1, 1, 0, 0, 0))
+        info.compress_type = zipfile.ZIP_DEFLATED
+        info.external_attr = 0o644 << 16
+        zf.writestr(info, payload)
+    return buffer.getvalue()
+
+
+def report_to_text(report: AnomalyReport, top: int | None = None) -> str:
+    """The text report as one list of lines, joined at the end."""
+    result = report.result
+    stats = result.stats
+    config = report.config
+    lines = [
+        f"dataset: {report.dataset}",
+        (
+            f"config: min_support={config.min_support}"
+            f" min_confidence={format_confidence(config.min_confidence)}"
+            f" min_pattern_size={config.min_pattern_size}"
+            f" max_deviation_level={config.max_deviation_level}"
+        ),
+        (
+            f"{stats.solutions} solutions, {stats.models} script models,"
+            f" {stats.patterns} patterns, {stats.violations} violations,"
+            f" {stats.anomalies} anomalies"
+        ),
+    ]
+    anomalies = result.anomalies
+    shown = anomalies if top is None else anomalies[: max(top, 0)]
+    if not anomalies:
+        lines.append("")
+        lines.append("no anomalies at this configuration")
+    elif not shown:
+        lines.append("")
+        lines.append(f"{len(anomalies)} anomalies (hidden by top=0)")
+    for anomaly in shown:
+        lines.append("")
+        lines.append(
+            f"#{anomaly.rank}  confidence {format_confidence(anomaly.confidence)}"
+            f" ({anomaly.confidence})"
+        )
+        lines.append(f"    script:  {anomaly.script.ident}")
+        lines.append(
+            f"    pattern: {anomaly.pattern.size} properties,"
+            f" support {anomaly.pattern.support}"
+        )
+        lines.append(f"    missing ({len(anomaly.deviation)}):")
+        for prop in sorted_properties(anomaly.deviation):
+            lines.append(f"      {prop.display}")
+        lines.append(f"    satisfied ({len(anomaly.violation.satisfied)}):")
+        for prop in sorted_properties(anomaly.violation.satisfied):
+            lines.append(f"      {prop.display}")
+    return "\n".join(lines) + "\n"

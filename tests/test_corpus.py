@@ -28,8 +28,10 @@ from blockmine import (
     props,
     write_project_archive,
 )
-from blockmine.ingest import RawBlock
+from blockmine import OutputUnwritable, corpus
+from blockmine.ingest import RawBlock, _plain_member
 from conftest import FIG_SCRIPT
+from oracles import zipfile_archive
 
 
 def _fig_project(name="ref"):
@@ -85,6 +87,39 @@ def test_archive_is_a_real_zip_with_project_json(tmp_path):
     assert "targets" in doc
     names = [t["name"] for t in doc["targets"]]
     assert names == ["Stage", "Cat"]
+
+
+# Text that deflates well, bytes that do not, and sizes around the 64 kB
+# window and the 16 kB blocks of the deflater.
+_PAYLOADS = st.one_of(
+    st.binary(max_size=70_000),
+    st.text(max_size=20_000).map(lambda text: text.encode("utf-8")),
+    st.builds(lambda chunk, n: chunk * n, st.binary(min_size=1, max_size=50), st.integers(0, 4000)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+@example(b"")
+@example(project_payload(_fig_project()))
+def test_archives_are_the_bytes_zipfile_writes(payload):
+    archive = corpus._zipped(payload, Path("student.sb3"))
+    assert archive == zipfile_archive(payload)
+    assert _plain_member(archive) == payload
+
+
+def test_a_project_over_the_load_limit_is_not_written(tmp_path, monkeypatch):
+    payload = project_payload(_fig_project())
+    monkeypatch.setattr(corpus, "MAX_PROJECT_BYTES", len(payload))
+    assert load_project(write_project_archive(_fig_project(), tmp_path / "at.sb3")).actors
+    monkeypatch.setattr(corpus, "MAX_PROJECT_BYTES", len(payload) - 1)
+    path = tmp_path / "over.sb3"
+    with pytest.raises(OutputUnwritable, match=f"{path}: project.json of {len(payload)} bytes"):
+        write_project_archive(_fig_project(), path)
+    assert not path.exists()
+    with pytest.raises(OutputUnwritable, match="correct_000.sb3"):
+        generate_corpus(_fig_project(), 2, [], tmp_path / "corpus")
+    assert generate_corpus(_fig_project(), 0, [], tmp_path / "empty") == []
 
 
 def test_json_suffix_writes_bare_payload(tmp_path):

@@ -32,7 +32,13 @@ from blockmine import (
 from blockmine import BlockLabel, TemporalProperty, mining
 from blockmine.mining import mine_vocabulary
 from blockmine.properties import Vocabulary
-from conftest import FIG_BUGGY_PROPS, FIG_BUGGY_SCRIPT, FIG_PROPS, FIG_SCRIPT
+from conftest import (
+    FIG_BUGGY_PROPS,
+    FIG_BUGGY_SCRIPT,
+    FIG_PROPS,
+    FIG_SCRIPT,
+    open_ended_projects,
+)
 from oracles import (
     brute_force_closed,
     dummy_sources,
@@ -161,51 +167,8 @@ def test_miner_matches_brute_force_when_sets_are_nearly_all_distinct(data, trans
     assert [(p.properties, p.support) for p in mined] == expected
 
 
-# An open-ended task: every student composes a few of 24 idioms under a
-# hat, and half add one extra command, so nearly every script differs.
-_IDIOM_COMMANDS = [
-    "motion_movesteps", "motion_turnright", "motion_turnleft", "motion_gotoxy",
-    "motion_changexby", "motion_changeyby", "motion_setx", "motion_sety",
-    "motion_ifonedgebounce", "motion_pointindirection", "looks_say", "looks_sayforsecs",
-    "looks_think", "looks_nextcostume", "looks_switchcostumeto", "looks_changesizeby",
-    "looks_setsizeto", "looks_show", "looks_hide", "sound_play",
-]
-_EXTRA_COMMANDS = [
-    "sound_playuntildone", "sound_changevolumeby", "control_wait", "control_create_clone_of",
-    "event_broadcast", "event_broadcastandwait", "sensing_askandwait", "sensing_resettimer",
-    "data_setvariableto", "data_changevariableby", "data_addtolist", "data_deletealloflist",
-    "pen_clear", "pen_stamp", "pen_penDown", "pen_penUp",
-]
-_OPEN_HATS = [
-    "event_whenflagclicked", "event_whenkeypressed",
-    "event_whenthisspriteclicked", "event_whenstageclicked",
-]
-
-
 def _open_ended_property_sets(n_projects: int, seed: int) -> list[PropertySet]:
-    rng = random.Random(seed)
-    idioms = []
-    for _ in range(24):
-        body = [rng.choice(_IDIOM_COMMANDS) for _ in range(rng.randint(2, 4))]
-        r = rng.random()
-        if r < 0.3:
-            idioms.append([("control_repeat", body)])
-        elif r < 0.4:
-            idioms.append([("control_if_else", body[:1], body[1:])])
-        else:
-            idioms.append(body)
-    projects = []
-    for k in range(n_projects):
-        scripts = []
-        for _ in range(4):
-            script = [rng.choice(_OPEN_HATS)]
-            for _ in range(rng.randint(2, 4)):
-                script.extend(rng.choice(idioms))
-            if rng.random() < 0.5:
-                script.insert(rng.randint(1, len(script)), rng.choice(_EXTRA_COMMANDS))
-            scripts.append(script)
-        projects.append(build_project(f"student_{k:03d}", [("Cat", scripts)]))
-    return extract_property_sets(projects)
+    return extract_property_sets(open_ended_projects(n_projects, seed))
 
 
 def test_miner_matches_the_present_pass_reference_on_an_open_ended_task():
