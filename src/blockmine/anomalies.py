@@ -11,7 +11,10 @@ Scripts with one property set deviate alike, so violations are counted per
 deviation class over the distinct property sets, in the integer form of
 `properties.Vocabulary`. A class is three numbers, so memory grows with the
 classes, not with the violating scripts; its scripts are found, and a
-Violation or Anomaly object built, only when something reads them.
+Violation or Anomaly object built, only when something reads them. The
+anomalies of one confidence group are ordered when the group is read, by
+a key built from that group alone, so reading the top anomalies touches
+only the patterns and scripts they name.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cmp_to_key
 from itertools import accumulate, groupby
 from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -157,7 +160,7 @@ class DeviationClasses:
 
         def build(g: int, start: int) -> list[Anomaly]:
             confidence, group = ranked[g]
-            order = _group_order(group, self._members(group), self._pattern_ranks, self._ident_ranks)
+            order = _group_order(group, self._members(group), self.patterns, self.vocab.scripts)
             violations = self._build_violations(order)
             return [
                 Anomaly(violation, confidence, c.weight, start + i + 1)
@@ -181,14 +184,6 @@ class DeviationClasses:
         members.sort(key=itemgetter(0))
         return members
 
-    @cached_property
-    def _pattern_ranks(self) -> list[int]:
-        return _dense_ranks([p.sort_key() for p in self.patterns])
-
-    @cached_property
-    def _ident_ranks(self) -> list[int]:
-        return _dense_ranks([s.ident for s in self.vocab.scripts])
-
     def _build_violations(self, members: Iterable[tuple[int, _DeviationClass]]) -> list[Violation]:
         """One Violation per (script position, class); a class's property
         sets are decoded once."""
@@ -205,12 +200,6 @@ class DeviationClasses:
             pattern, deviation, satisfied = decoded[c]
             built.append(Violation(self.vocab.scripts[position], pattern, deviation, satisfied))
         return built
-
-
-def _dense_ranks(keys: Sequence) -> list[int]:
-    """Each key's index among the distinct keys, sorted."""
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    return [rank[key] for key in keys]
 
 
 def _passes(min_confidence: Fraction) -> Callable[[int, int], bool]:
@@ -262,24 +251,19 @@ def _confident_groups(
 def _group_order(
     group: Sequence[_DeviationClass],
     members: Iterable[tuple[int, _DeviationClass]],
-    pattern_ranks: Sequence[int],
-    ident_ranks: Sequence[int],
+    patterns: Sequence[Pattern],
+    scripts: Sequence[ScriptSource],
 ) -> list[tuple[int, _DeviationClass]]:
     """The (position, class) `members` of one group's classes in rank order.
 
     Inside a group only the script identifier, the pattern's sort key, the
     deviation in property order and, last, the position (an index into
-    `ident_ranks`) tell anomalies apart; they are packed into one integer.
+    `scripts`) tell anomalies apart. The key is built from the group's own
+    classes and members, so ordering a group reads only their patterns and
+    scripts.
     """
-    ranks = _dense_ranks([(pattern_ranks[c.pattern], tuple(bits(c.deviation))) for c in group])
-    order = dict(zip(group, ranks))
-    n_order, n_positions = len(set(ranks)), len(ident_ranks)
-    keyed = [
-        ((ident_ranks[position] * n_order + order[c]) * n_positions + position, position, c)
-        for position, c in members
-    ]
-    keyed.sort(key=itemgetter(0))
-    return [(position, c) for _, position, c in keyed]
+    order = {c: (patterns[c.pattern].sort_key(), tuple(bits(c.deviation))) for c in group}
+    return sorted(members, key=lambda m: (scripts[m[0]].ident, order[m[1]], m[0]))
 
 
 def find_violations(
@@ -321,13 +305,12 @@ def rank_anomalies(violations: Sequence[Violation], config: MiningConfig) -> lis
         _DeviationClass(j, deviations.mask(d), len(found)): found
         for (j, d), found in members.items()
     }
-    groups = _confident_groups(indices, [p.support for p in patterns], config.min_confidence)
-    pattern_ranks = _dense_ranks([p.sort_key() for p in patterns])
-    ident_ranks = _dense_ranks([s.ident for s in scripts])
+    by_index = list(patterns)
+    groups = _confident_groups(indices, [p.support for p in by_index], config.min_confidence)
     ranked: list[Anomaly] = []
     for confidence, group in groups:
         pairs = [(i, c) for c in group for i in indices[c]]
-        for i, c in _group_order(group, pairs, pattern_ranks, ident_ranks):
+        for i, c in _group_order(group, pairs, by_index, scripts):
             ranked.append(Anomaly(violations[i], confidence, c.weight, len(ranked) + 1))
     return ranked
 

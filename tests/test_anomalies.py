@@ -5,6 +5,7 @@ from __future__ import annotations
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from blockmine import (
     Pattern,
     PropertySet,
     ScriptSource,
+    Violation,
     analyze_dataset,
     build_project,
     compute_stats,
@@ -42,6 +44,7 @@ from conftest import (
     IF,
     MOVE,
     WGF,
+    open_ended_projects,
     prop,
 )
 from oracles import (
@@ -252,6 +255,21 @@ def test_ties_break_deterministically():
     assert [(a.script.ident, a.confidence, a.rank) for a in once] == [
         (a.script.ident, a.confidence, a.rank) for a in again
     ]
+
+    # Two patterns equal but for their supporters tie on the sort key, so
+    # one script's violations of them keep their input order.
+    script, a, b, c, d = dummy_sources(5)
+    first = Pattern(FIG_PROPS, 2, frozenset({a, b}))
+    second = Pattern(FIG_PROPS, 2, frozenset({c, d}))
+    assert first != second and first.sort_key() == second.sort_key()
+    violations = [
+        Violation(script, pattern, FIG_DEVIATION, FIG_PROPS - FIG_DEVIATION)
+        for pattern in (first, second)
+    ]
+    for listed in (violations, violations[::-1]):
+        ranked = rank_anomalies(listed, RELAXED)
+        assert ranked == naive_rank_anomalies(listed, RELAXED)
+        assert [x.pattern for x in ranked] == [v.pattern for v in listed]
 
 
 def test_anomaly_exposes_violation_fields():
@@ -673,3 +691,64 @@ def test_result_sequences_follow_the_sequence_contract():
         assert expected[1] in sequence
         with pytest.raises(TypeError):
             sequence[0] = expected[0]
+
+
+# ------------------------------------------------- open-ended ranking
+
+
+def test_reading_the_top_anomalies_touches_only_their_groups():
+    # Ordering a group reads the sort keys of its classes' patterns and the
+    # identifiers of its scripts; the other groups are not looked at.
+    config = MiningConfig(min_support=8, min_confidence="1/2")
+    result = analyze_dataset(open_ended_projects(40, 5), config)
+    classes = DeviationClasses(result.patterns, Vocabulary.of(result.property_sets), config)
+    supports = [p.support for p in classes.patterns]
+    shown, patterns, scripts = 0, set(), set()
+    for _, group in _confident_groups(classes.classes, supports, config.min_confidence):
+        if shown >= 10:
+            break
+        shown += sum(c.weight for c in group)
+        patterns.update(id(classes.patterns[c.pattern]) for c in group)
+        scripts.update(id(classes.vocab.scripts[k]) for k, _ in classes._members(group))
+    assert len(patterns) < len(classes.patterns)
+    assert len(scripts) < len(result.property_sets)
+
+    touched_patterns, touched_scripts = set(), set()
+    sort_key, ident = Pattern.sort_key, ScriptSource.ident.fget
+
+    def recorded_sort_key(pattern):
+        touched_patterns.add(id(pattern))
+        return sort_key(pattern)
+
+    def recorded_ident(script):
+        touched_scripts.add(id(script))
+        return ident(script)
+
+    with mock.patch.object(Pattern, "sort_key", autospec=True, side_effect=recorded_sort_key):
+        with mock.patch.object(ScriptSource, "ident", property(recorded_ident)):
+            top = result.anomalies[:10]
+    assert len(top) == 10
+    assert touched_patterns == patterns
+    assert touched_scripts == scripts
+
+
+def test_open_ended_ranking_matches_the_object_oracle():
+    # 972 patterns, 24,898 violations and 5,282 anomalies: groups far
+    # larger, over far more patterns, than the drawn classrooms give.
+    projects = open_ended_projects(40, 5)
+    config = MiningConfig(min_support=8, max_deviation_level=2, min_confidence="1/2")
+    result = analyze_dataset(projects, config)
+    sets = result.property_sets
+    violations = find_violations(result.patterns, sets, config)
+    naive = naive_rank_anomalies(violations, config)
+    assert len(violations) > 20_000 and len(naive) > 5_000
+
+    assert list(result.anomalies) == naive
+    assert rank_anomalies(violations, config) == naive
+    stats = compute_stats(projects, sets, result.patterns, violations, naive)
+    ours = AnomalyReport("open-ended", config, result)
+    theirs = AnomalyReport(
+        "open-ended", config, AnalysisResult(sets, result.patterns, violations, naive, stats)
+    )
+    assert report_to_json(ours, top=None) == report_to_json(theirs, top=None)
+    assert report_to_text(ours, top=None) == report_to_text(theirs, top=None)

@@ -104,8 +104,8 @@ def test_each_item_is_its_own_chunk(classroom_dir):
 @pytest.fixture(scope="module")
 def open_ended():
     """The analysis of an open-ended classroom whose JSON report is about
-    1.9 MB. Its top anomalies are read once here, so that the rank tables
-    their first read builds count as analysis, not as report."""
+    1.9 MB. Its top anomalies are read once here, so that ordering their
+    groups on the first read counts as analysis, not as report."""
     config = MiningConfig(min_support=25, min_confidence="1/2")
     result = analyze_dataset(open_ended_projects(150, seed=5), config)
     top = result.anomalies[:10]
