@@ -10,22 +10,20 @@ configuration.
 A report document builds each distinct property's document once and gives
 every occurrence its own copy. JSON text is
 `json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)` and a
-newline; before Python 3.13, where `json.dumps` takes its pure-Python
-encoder for `indent`, `_write_json` writes the same bytes with the C string
-encoder.
+newline, written on every Python version by one writer, `_write_json`,
+that can start at any depth of a document.
 
 An anomaly report is also written as a stream of text pieces, one per
 top-level section and one per pattern or anomaly, so that no document list
 and no whole-report string is held (`_json_chunks`, `_text_chunks`; the
-command line writes these). `report_to_json` and `report_to_text` are the
-join of the same pieces.
+command line writes these). Each piece of the JSON stream is written at
+its own depth. `report_to_json` and `report_to_text` are the join of the
+same pieces.
 """
 
 from __future__ import annotations
 
-import json
 import re
-import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -366,113 +364,89 @@ def _json_key(key: object) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _write_json(value: object) -> str:
-    """`json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)` and
-    a newline, byte for byte, without the pure-Python encoder that
-    `json.dumps` falls back to for `indent` before Python 3.13.
+def _write_json(o: object, depth: int, append: Callable[[str], object]) -> None:
+    """Append `o` as `json.dumps(o, sort_keys=True, indent=2,
+    ensure_ascii=True)` writes it nested `depth` levels deep: each of its
+    line breaks is followed by `2 * depth` more spaces.
 
-    Strings go through the C `encode_basestring_ascii`; the separator
-    before an item is one string per depth, reused by every item there.
+    Strings go through the C `encode_basestring_ascii`; `json.dumps` falls
+    back to its pure-Python encoder for `indent` before Python 3.13.
     """
-    out: list[str] = []
-    append = out.append
-    quote = encode_basestring_ascii
-    newlines = ["\n"]  # a newline and the indent of each depth
-    commas = [",\n"]
-
-    def write(o: object, depth: int) -> None:
-        if isinstance(o, str):
-            append(quote(o))
-        elif o is None:
-            append("null")
-        elif o is True:
-            append("true")
-        elif o is False:
-            append("false")
-        elif isinstance(o, int):
-            append(int.__repr__(o))
-        elif isinstance(o, float):
-            append(_json_float(o))
-        elif isinstance(o, (list, tuple, dict)):
-            if not o:
-                append("{}" if isinstance(o, dict) else "[]")
-                return
-            depth += 1
-            if depth == len(newlines):
-                newlines.append(newlines[-1] + "  ")
-                commas.append("," + newlines[-1])
-            separator, comma = newlines[depth], commas[depth]
-            if isinstance(o, dict):
-                append("{")
-                for key, item in sorted(o.items()):
-                    append(separator)
-                    separator = comma
-                    append(quote(_json_key(key)))
-                    append(": ")
-                    write(item, depth)
-                append(newlines[depth - 1])
-                append("}")
-            else:
-                append("[")
-                for item in o:
-                    append(separator)
-                    separator = comma
-                    write(item, depth)
-                append(newlines[depth - 1])
-                append("]")
+    if isinstance(o, str):
+        append(encode_basestring_ascii(o))
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif isinstance(o, int):
+        append(int.__repr__(o))
+    elif isinstance(o, float):
+        append(_json_float(o))
+    elif isinstance(o, (list, tuple, dict)):
+        if not o:
+            append("{}" if isinstance(o, dict) else "[]")
+            return
+        close = "\n" + "  " * depth
+        separator = close + "  "
+        comma = "," + separator
+        depth += 1
+        if isinstance(o, dict):
+            append("{")
+            for key, item in sorted(o.items()):
+                append(separator)
+                separator = comma
+                append(encode_basestring_ascii(_json_key(key)))
+                append(": ")
+                _write_json(item, depth, append)
+            append(close + "}")
         else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    try:
-        write(value, 0)
-    finally:
-        # `write` refers to itself; unbound, it and `out` are freed on
-        # return instead of waiting for the cycle collector.
-        del write
-    append("\n")
-    return "".join(out)
+            append("[")
+            for item in o:
+                append(separator)
+                separator = comma
+                _write_json(item, depth, append)
+            append(close + "]")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def document_to_json(doc: dict) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline.
-
-    Since Python 3.13 `json.dumps` encodes in C with `indent` too; before,
-    `_write_json` writes the same bytes faster.
-    """
-    if sys.version_info >= (3, 13):
-        return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
-    return _write_json(doc)
-
-
-def _nested_json(value: object, newline: str) -> str:
-    """The canonical JSON of `value` as it reads nested in a document, each
-    line break followed by `newline`'s indent. Canonical ASCII JSON holds
-    no raw newline inside a string, so every newline is a line break."""
-    return document_to_json(value)[:-1].replace("\n", newline)
-
-
-def _json_items(items: Iterator[object]) -> Iterator[str]:
-    """A list at depth 1 of a document, one piece per item."""
-    separator = "[\n    "
-    for item in items:
-        yield separator + _nested_json(item, "\n    ")
-        separator = ",\n    "
-    yield "[]" if separator == "[\n    " else "\n  ]"
+    """Canonical JSON text: `json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=True)` and a newline, byte for byte."""
+    out: list[str] = []
+    _write_json(doc, 0, out.append)
+    out.append("\n")
+    return "".join(out)
 
 
 def _json_chunks(report: AnomalyReport, top: int | None) -> Iterator[str]:
     """`document_to_json(report_to_document(report, top))` in pieces: one
-    per scalar section and one per pattern or anomaly."""
+    per top-level key, one per scalar section (written at depth 1), one per
+    pattern or anomaly (written at depth 2 after its list separator), one
+    closing per list and the document's closing."""
     sections = _report_sections(report, top)
+    out: list[str] = []
+    append = out.append
     separator = "{\n  "
     for key in sorted(sections):
         value = sections[key]
         yield f"{separator}{encode_basestring_ascii(key)}: "
         separator = ",\n  "
         if isinstance(value, Iterator):
-            yield from _json_items(value)
+            item_separator = "[\n    "
+            for item in value:
+                append(item_separator)
+                item_separator = ",\n    "
+                _write_json(item, 2, append)
+                yield "".join(out)
+                out.clear()
+            yield "[]" if item_separator == "[\n    " else "\n  ]"
         else:
-            yield _nested_json(value, "\n  ")
+            _write_json(value, 1, append)
+            yield "".join(out)
+            out.clear()
     yield "\n}\n"
 
 

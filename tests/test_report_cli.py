@@ -260,9 +260,24 @@ def test_json_writer_matches_json_dumps(value):
         expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
     except Exception as error:
         with pytest.raises(type(error)):
-            report._write_json(value)
+            document_to_json(value)
     else:
-        assert report._write_json(value) == expected
+        assert document_to_json(value) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values(_JSON_LEAVES), st.integers(0, 3))
+def test_json_writer_starts_at_any_depth(value, depth):
+    # The stream writes each section and item in place at its depth.
+    try:
+        expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)
+    except Exception as error:
+        with pytest.raises(type(error)):
+            report._write_json(value, depth, [].append)
+    else:
+        out = []
+        report._write_json(value, depth, out.append)
+        assert "".join(out) == expected.replace("\n", "\n" + "  " * depth)
 
 
 # ---------------------------------------------------------------- CLI
