@@ -11,20 +11,21 @@ Scripts with one property set deviate alike, so violations are counted per
 deviation class over the distinct property sets, in the integer form of
 `properties.Vocabulary`. A class is three numbers, so memory grows with the
 classes, not with the violating scripts; its scripts are found, and a
-Violation or Anomaly object built, only when something reads them. The
-anomalies of one confidence group are ordered when the group is read, by
-a key built from that group alone, so reading the top anomalies touches
-only the patterns and scripts they name.
+Violation or Anomaly object built, only when something reads them. A
+pattern's classes are one run of the class list, read alone for its
+violations. The anomalies of one confidence group are ordered when the group
+is read, by a key built from that group alone, so reading the top anomalies
+touches only the patterns and scripts they name.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate, groupby
-from operator import attrgetter, itemgetter
+from itertools import accumulate, groupby, pairwise
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidConfig
@@ -122,6 +123,8 @@ class DeviationClasses:
     max_deviation_level of its properties and satisfies at least one.
     Each pattern is compared with the distinct property sets only; a
     class's sets are found again from `Vocabulary.item_tids` when read.
+    The classes come pattern by pattern: those of checked pattern j are
+    `classes[runs[j]:runs[j + 1]]`.
     """
 
     def __init__(self, patterns: Sequence[Pattern], vocab: Vocabulary, config: MiningConfig):
@@ -129,30 +132,25 @@ class DeviationClasses:
         self.patterns = [p for p in patterns if p.size >= config.min_pattern_size]
         self.pattern_masks = [vocab.mask(p.properties) for p in self.patterns]
         self.classes: list[_DeviationClass] = []
-        weights = [len(g) for g in vocab.groups]
+        self.runs = [0]
         for j, p in enumerate(self.pattern_masks):
             by_deviation: dict[int, int] = {}
-            for s, weight in zip(vocab.masks, weights):
+            for s, weight in zip(vocab.masks, vocab.weights):
                 deviation = p & ~s
                 if deviation and p & s and deviation.bit_count() <= config.max_deviation_level:
                     by_deviation[deviation] = by_deviation.get(deviation, 0) + weight
             self.classes.extend(_DeviationClass(j, d, w) for d, w in by_deviation.items())
+            self.runs.append(len(self.classes))
 
     def violations(self) -> Sequence[Violation]:
         """Pattern by pattern, and in dataset order within a pattern."""
-        # __init__ appends each pattern's classes as one run: bisect finds it.
-        classes = self.classes
-        runs = [
-            (j, sum(map(attrgetter("weight"), run)))
-            for j, run in groupby(classes, attrgetter("pattern"))
-        ]
+        classes, runs = self.classes, self.runs
 
-        def build(block: int, start: int) -> list[Violation]:
-            j = runs[block][0]
-            run = classes[bisect_left(classes, (j,)) : bisect_left(classes, (j + 1,))]
-            return self._build_violations(self._members(run))
+        def build(j: int, start: int) -> list[Violation]:
+            return self._build_violations(self._members(classes[runs[j] : runs[j + 1]]))
 
-        return _LazySequence((weight for _, weight in runs), build)
+        weights = (sum(c.weight for c in classes[a:b]) for a, b in pairwise(runs))
+        return _LazySequence(weights, build)
 
     def anomalies(self, min_confidence: Fraction) -> Sequence[Anomaly]:
         """The violations whose confidence reaches min_confidence, ranked."""

@@ -164,7 +164,7 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
     """`mine_closed_patterns` over property sets already in integer form.
 
     Closed itemsets are intersections of transactions, so mining runs over
-    the distinct property sets, each weighted by its number of scripts.
+    the distinct property sets, each weighted by `Vocabulary.weights`.
     It uses closure extension over transaction-id bitmasks: adding item i
     to a closed set is kept only when the closure adds no item before i,
     which visits every closed frequent itemset exactly once. Items with one
@@ -180,8 +180,7 @@ def mine_vocabulary(vocab: Vocabulary, min_support: int) -> list[Pattern]:
     if min_support > n:
         return []
 
-    masks, item_tids = vocab.masks, vocab.item_tids
-    weights = [len(g) for g in vocab.groups]
+    masks, item_tids, weights = vocab.masks, vocab.item_tids, vocab.weights
 
     # Items often share a tid mask, so extensions repeat: remember both.
     @cache

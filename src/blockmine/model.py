@@ -175,8 +175,7 @@ def _canonical(
 
     order: dict[int, int] = {entry: 0}
     queue = [entry]
-    while queue:
-        node = queue.pop(0)
+    for node in queue:  # queue grows as locations are numbered
         for _, dst in sorted(adjacency.get(node, [])):
             if dst not in order:
                 order[dst] = len(order)

@@ -4,13 +4,15 @@ A property "a before b" holds when some transition labeled a lands on a
 location from which some transition labeled b departs, under the reflexive
 transitive reachability of the model. The pair is ordered but not strict:
 a block inside a loop can precede itself.
+
+`Vocabulary` puts a dataset's property sets in integer form once, for
+mining, violation finding and ranking to share.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -57,18 +59,23 @@ def bits(mask: int) -> Iterator[int]:
 class Vocabulary:
     """Property sets in integer form, one entry per distinct set.
 
-    Bit i of a mask stands for `items[i]`, and the items are sorted, so
-    comparing two masks' ascending bit indices compares the sorted
-    properties. Distinct sets keep the order of their first script;
-    `groups[k]` holds the dataset positions of the scripts whose property
-    set is `masks[k]`, ascending, and its length is that set's weight.
-    `item_tids[i]` has bit k set when `masks[k]` holds item i.
+    Bit i of a mask stands for `items[i]`, and `index[p]` is the bit of p;
+    the items are sorted, so comparing two masks' ascending bit indices
+    compares the sorted properties. Distinct sets keep the order of their
+    first script; `groups[k]` holds the dataset positions of the scripts
+    whose property set is `masks[k]`, ascending, and `weights[k]` is their
+    number. `item_tids[i]` has bit k set when `masks[k]` holds item i.
+    `Vocabulary.of` builds all fields in one pass; the last three follow
+    from the rest, and take no part in comparing, hashing or showing it.
     """
 
     items: tuple[TemporalProperty, ...]
     masks: tuple[int, ...]
     groups: tuple[tuple[int, ...], ...]
     scripts: tuple[ScriptSource, ...]
+    index: dict[TemporalProperty, int] = field(compare=False, repr=False)
+    weights: tuple[int, ...] = field(compare=False, repr=False)
+    item_tids: tuple[int, ...] = field(compare=False, repr=False)
 
     @staticmethod
     def named(scripts: Iterable[ScriptSource | None]) -> tuple[ScriptSource, ...]:
@@ -96,28 +103,24 @@ class Vocabulary:
             by_set.setdefault(ps.properties, []).append(position)
         items = tuple(sorted(set(extra).union(*by_set)))
         index = {p: i for i, p in enumerate(items)}
+        masks, tids = [], [0] * len(items)
+        for k, properties in enumerate(by_set):
+            positions = [index[p] for p in properties]
+            masks.append(sum(1 << i for i in positions))
+            for i in positions:
+                tids[i] |= 1 << k
         return cls(
             items=items,
-            masks=tuple(sum(1 << index[p] for p in s) for s in by_set),
+            masks=tuple(masks),
             groups=tuple(tuple(g) for g in by_set.values()),
             scripts=scripts,
+            index=index,
+            weights=tuple(map(len, by_set.values())),
+            item_tids=tuple(tids),
         )
 
-    @cached_property
-    def _index(self) -> dict[TemporalProperty, int]:
-        return {p: i for i, p in enumerate(self.items)}
-
-    @cached_property
-    def item_tids(self) -> tuple[int, ...]:
-        """For each item, the mask of the distinct sets that hold it."""
-        tids = [0] * len(self.items)
-        for k, mask in enumerate(self.masks):
-            for i in bits(mask):
-                tids[i] |= 1 << k
-        return tuple(tids)
-
     def mask(self, properties: Iterable[TemporalProperty]) -> int:
-        return sum(1 << self._index[p] for p in set(properties))
+        return sum(1 << self.index[p] for p in set(properties))
 
     def properties(self, mask: int) -> frozenset[TemporalProperty]:
         return frozenset(self.items[i] for i in bits(mask))

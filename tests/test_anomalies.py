@@ -5,6 +5,7 @@ from __future__ import annotations
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from itertools import pairwise
 from unittest import mock
 
 import pytest
@@ -578,6 +579,23 @@ def _classrooms(draw):
         min_confidence=draw(st.sampled_from(_CONFIDENCES)),
     )
     return projects, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(_classrooms())
+def test_each_checked_pattern_owns_one_run_of_classes(classroom):
+    projects, config = classroom
+    result = analyze_dataset(projects, config)
+    classes = DeviationClasses(result.patterns, Vocabulary.of(result.property_sets), config)
+    runs = classes.runs
+    assert runs[0] == 0 and runs[-1] == len(classes.classes)
+    assert len(runs) == len(classes.patterns) + 1
+    assert runs == sorted(runs)
+    for j, (start, end) in enumerate(pairwise(runs)):
+        assert all(c.pattern == j for c in classes.classes[start:end])
+    # Patterns without classes are empty runs; reading by index skips them.
+    violations = classes.violations()
+    assert [violations[i] for i in range(len(violations))] == list(result.violations)
 
 
 def _anomaly_fields(a):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from blockmine import (
     Actor,
     BlockLabel,
+    MiningConfig,
     MutationKind,
     MutationSpec,
+    PropertySet,
     RawProject,
     ScriptModel,
     TemporalProperty,
@@ -31,7 +34,10 @@ from blockmine import (
     sorted_properties,
 )
 from blockmine import report
+from blockmine.anomalies import DeviationClasses
 from blockmine.ingest import stack_shape
+from blockmine.mining import mine_vocabulary
+from blockmine.properties import Vocabulary
 from conftest import (
     FIG_BUGGY_PROPS,
     FIG_DEVIATION,
@@ -43,7 +49,7 @@ from conftest import (
     hand_built_fig_model,
     prop,
 )
-from oracles import per_script_property_sets
+from oracles import dummy_sources, per_script_property_sets
 from test_model import _SCRIPTS
 
 HAT = "event_whenflagclicked"
@@ -456,3 +462,43 @@ def test_labels_and_properties_keep_their_text_and_value_semantics():
         move.opcode = "control_stop"
     with pytest.raises(AttributeError):
         p.first = call
+
+
+# A vocabulary is plain data: Vocabulary.of builds the index, the weights
+# and the tid masks with the masks, and reading it adds nothing.
+
+_PROPERTIES = st.builds(TemporalProperty, _LABELS, _LABELS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.frozensets(_PROPERTIES, max_size=6), max_size=10),
+    st.frozensets(_PROPERTIES, max_size=4),
+)
+def test_vocabulary_fields_follow_from_its_masks(transactions, extra):
+    sets = [PropertySet(s, t) for s, t in zip(dummy_sources(len(transactions)), transactions)]
+    for vocab in (Vocabulary.of(sets), Vocabulary.of(sets, extra=extra)):
+        assert vocab.weights == tuple(map(len, vocab.groups))
+        for k, group in enumerate(vocab.groups):
+            assert vocab.properties(vocab.masks[k]) == transactions[group[0]]
+        assert len(vocab.index) == len(vocab.item_tids) == len(vocab.items)
+        for i, tids in enumerate(vocab.item_tids):
+            assert vocab.index[vocab.items[i]] == i
+            for k, mask in enumerate(vocab.masks):
+                assert (tids >> k & 1) == (mask >> i & 1)
+
+
+def test_mining_and_checking_add_no_field_to_the_vocabulary():
+    sets = [
+        PropertySet(s, t)
+        for s, t in zip(dummy_sources(4), [FIG_PROPS, FIG_PROPS, FIG_PROPS, FIG_BUGGY_PROPS])
+    ]
+    vocab = Vocabulary.of(sets)
+    fields = set(vars(vocab))
+    config = MiningConfig(min_support=1, min_pattern_size=1, min_confidence=Fraction(1, 100))
+    classes = DeviationClasses(mine_vocabulary(vocab, 1), vocab, config)
+    assert list(classes.violations()) and list(classes.anomalies(config.min_confidence))
+    vocab.mask(FIG_PROPS)
+    assert set(vars(vocab)) == fields
+    hash(vocab)  # the index, a dict, takes no part in hashing or showing
+    assert ", index=" not in repr(vocab) and "item_tids" not in repr(vocab)
