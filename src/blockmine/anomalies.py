@@ -13,9 +13,10 @@ deviation class over the distinct property sets, in the integer form of
 classes, not with the violating scripts; its scripts are found, and a
 Violation or Anomaly object built, only when something reads them. A
 pattern's classes are one run of the class list, read alone for its
-violations. The anomalies of one confidence group are ordered when the group
-is read, by a key built from that group alone, so reading the top anomalies
-touches only the patterns and scripts they name.
+violations. Confident classes are filed under their group key in one pass;
+a group is one (support, weight) pair, so one weight. A group's anomalies
+are ordered when it is read, by a key built from that group alone, so
+reading the top anomalies touches only the patterns and scripts they name.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import accumulate, groupby, pairwise
+from itertools import accumulate, pairwise
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -153,7 +154,9 @@ class DeviationClasses:
         return _LazySequence(weights, build)
 
     def anomalies(self, min_confidence: Fraction) -> Sequence[Anomaly]:
-        """The violations whose confidence reaches min_confidence, ranked."""
+        """The violations whose confidence reaches min_confidence, ranked.
+        Classes are filed under their group key in one pass; a group is one
+        weight, so its size is read from one class."""
         ranked = _confident_groups(self.classes, [p.support for p in self.patterns], min_confidence)
 
         def build(g: int, start: int) -> list[Anomaly]:
@@ -165,7 +168,7 @@ class DeviationClasses:
                 for i, (violation, (_, c)) in enumerate(zip(violations, order))
             ]
 
-        return _LazySequence((sum(c.weight for c in group) for _, group in ranked), build)
+        return _LazySequence((len(group) * group[0].weight for _, group in ranked), build)
 
     def _members(self, classes: Iterable[_DeviationClass]) -> list[tuple[int, _DeviationClass]]:
         """(script position, class) for every script of `classes`, by
@@ -225,25 +228,22 @@ def _confident_groups(
     The threshold is tested once per (support, weight) pair and the pairs
     are ordered by cross-multiplying, all in integers; one support with two
     weights gives two confidences, so ranking the pairs ranks (confidence,
-    support). A Fraction is built once per passing pair, to show with its
-    group."""
+    support), and a Fraction is built once per passing pair. Each passing
+    class is filed under its (rank, size) key in one pass, in class order;
+    only the keys are sorted. A group is one pair, so one weight."""
     passes = _passes(min_confidence)
     ordered = sorted(
         (pair for pair in {(supports[c.pattern], c.weight) for c in classes} if passes(*pair)),
         key=cmp_to_key(_by_confidence),
     )
     rank = {pair: r for r, pair in enumerate(ordered)}
-    keyed = []
+    groups: dict[tuple[int, int], list[_DeviationClass]] = {}
     for c in classes:
         r = rank.get((supports[c.pattern], c.weight))
         if r is not None:
-            keyed.append(((r, c.deviation.bit_count()), c))
-    keyed.sort(key=itemgetter(0))
+            groups.setdefault((r, c.deviation.bit_count()), []).append(c)
     confidences = [Fraction(s, s + w) for s, w in ordered]
-    return [
-        (confidences[r], [c for _, c in group])
-        for (r, _), group in groupby(keyed, key=itemgetter(0))
-    ]
+    return [(confidences[r], groups[r, n]) for r, n in sorted(groups)]
 
 
 def _group_order(

@@ -280,6 +280,14 @@ def dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _script_document(script: ScriptSource) -> dict:
+    return {
+        "project": script.project_id,
+        "actor": script.actor_name,
+        "script_index": script.script_index,
+    }
+
+
 def model_to_document(model: ScriptModel) -> dict:
     """Structured dump of a model (JSON-ready, schema versioned)."""
     doc: dict = {
@@ -299,9 +307,5 @@ def model_to_document(model: ScriptModel) -> dict:
         ],
     }
     if model.source is not None:
-        doc["source"] = {
-            "project": model.source.project_id,
-            "actor": model.source.actor_name,
-            "script_index": model.source.script_index,
-        }
+        doc["source"] = _script_document(model.source)
     return doc

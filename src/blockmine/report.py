@@ -36,7 +36,7 @@ from .anomalies import Anomaly, DeviationClasses, SweepCell, Violation
 from .blocks import table_version
 from .ingest import ProjectScripts, RawProject, ScriptSource, Shape, project_scripts
 from .mining import MiningConfig, Pattern, mine_vocabulary
-from .model import ScriptModel, build_shape_model, model_to_document, model_to_dot
+from .model import ScriptModel, _script_document, build_shape_model, model_to_document, model_to_dot
 from .properties import (
     PropertySet,
     TemporalProperty,
@@ -253,14 +253,6 @@ def _config_document(config: MiningConfig) -> dict:
         "min_pattern_size": config.min_pattern_size,
         "max_deviation_level": config.max_deviation_level,
         "min_confidence": str(config.min_confidence),
-    }
-
-
-def _script_document(script: ScriptSource) -> dict:
-    return {
-        "project": script.project_id,
-        "actor": script.actor_name,
-        "script_index": script.script_index,
     }
 
 

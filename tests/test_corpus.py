@@ -221,6 +221,17 @@ def test_extra_block_is_inserted_after_the_target():
     assert len(opcodes) == len(_script_opcodes(_fig_project())) + 1
 
 
+def test_a_second_extra_block_gets_a_fresh_id(tmp_path):
+    spec = MutationSpec(MutationKind.EXTRA_BLOCK, "motion_movesteps", "control_wait", 7)
+    twice = apply_mutation(apply_mutation(_fig_project("twice"), spec), spec)
+    (cat,) = [actor for actor in twice.actors if not actor.is_stage]
+    assert cat.blocks["xb1"].opcode == cat.blocks["xb1x"].opcode == "control_wait"
+    assert _script_opcodes(twice).count("control_wait") == 2
+    loaded = load_project(write_project_archive(twice, tmp_path / "twice.sb3"))
+    assert loaded.warnings == ()
+    assert loaded == twice
+
+
 def test_mutants_round_trip_through_archives(tmp_path):
     specs = [
         MutationSpec(MutationKind.WRONG_BLOCK, "motion_movesteps", "motion_gotoxy", 1),

@@ -23,6 +23,7 @@ from blockmine import (
     model_to_dot,
     props,
 )
+from blockmine.model import model_to_document
 from conftest import FIG_BUGGY_SCRIPT, FIG_SCRIPT, GOTO, hand_built_fig_model
 from oracles import label_path_language, random_epsilon_model
 
@@ -327,6 +328,21 @@ def test_dot_rendering_mentions_every_location_and_label(fig_project):
     assert "when green flag" in dot
     assert "move steps" in dot
     assert "__start" in dot
+
+
+def test_an_epsilon_move_is_rendered_first_for_its_source():
+    model = ScriptModel(
+        entry=0,
+        exits=frozenset({2, 3}),
+        transitions=frozenset({(0, WGF, 1), (1, MOVE, 2), (1, None, 3)}),
+    )
+    listed = [t for t in model_to_document(model)["transitions"] if t["from"] == 1]
+    assert [(t["label"], t["name"], t["to"]) for t in listed] == [
+        (None, "ε", 3),
+        (MOVE.key(), MOVE.display, 2),
+    ]
+    dot = model_to_dot(model)
+    assert dot.index('  l1 -> l3 [label="ε"];') < dot.index("  l1 -> l2 ")
 
 
 def test_unreachable_code_after_forever_is_not_modeled():

@@ -220,6 +220,7 @@ _JSON_KEYS = [
     st.booleans(),
     st.none(),
     st.sampled_from(list(_Level)),
+    st.tuples(st.integers()),  # a key type json.dumps refuses
 ]
 _JSON_LEAVES = st.one_of(
     st.none(),
