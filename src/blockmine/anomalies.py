@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import accumulate, pairwise
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -188,19 +188,14 @@ class DeviationClasses:
     def _build_violations(self, members: Iterable[tuple[int, _DeviationClass]]) -> list[Violation]:
         """One Violation per (script position, class); a class's property
         sets are decoded once."""
-        decoded: dict[_DeviationClass, tuple[Pattern, frozenset, frozenset]] = {}
-        built = []
-        for position, c in members:
-            if c not in decoded:
-                satisfied = self.pattern_masks[c.pattern] & ~c.deviation
-                decoded[c] = (
-                    self.patterns[c.pattern],
-                    self.vocab.properties(c.deviation),
-                    self.vocab.properties(satisfied),
-                )
-            pattern, deviation, satisfied = decoded[c]
-            built.append(Violation(self.vocab.scripts[position], pattern, deviation, satisfied))
-        return built
+        properties, scripts = self.vocab.properties, self.vocab.scripts
+
+        @cache
+        def decoded(c: _DeviationClass) -> tuple[Pattern, frozenset, frozenset]:
+            satisfied = self.pattern_masks[c.pattern] & ~c.deviation
+            return self.patterns[c.pattern], properties(c.deviation), properties(satisfied)
+
+        return [Violation(scripts[position], *decoded(c)) for position, c in members]
 
 
 def _passes(min_confidence: Fraction) -> Callable[[int, int], bool]:

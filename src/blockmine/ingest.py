@@ -27,6 +27,7 @@ import lzma
 import math
 import os
 import struct
+import threading
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
@@ -304,21 +305,11 @@ def _parse_inputs(raw_inputs: object) -> tuple[tuple[str | None, ...], tuple[str
     return tuple(slots.values()), tuple(children)
 
 
-# Largest integer magnitude a float holds exactly.
-_EXACT_INT = 2**53
-
-
 def _coordinate(value: object, axis: str, owner: str, block_id: object,
                 warnings: list[str]) -> float:
     """The canvas coordinate of a truthy `value`: anything but a finite
     number reads as 0 with a warning. _parse_target reads a falsy value,
     or none, as 0 without calling this."""
-    # Fast paths for what the Scratch editor writes; bool, str, huge ints
-    # and everything else take the general conversion below.
-    if type(value) is float and math.isfinite(value):
-        return value
-    if type(value) is int and -_EXACT_INT <= value <= _EXACT_INT:
-        return float(value)
     try:
         coord = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -710,8 +701,6 @@ def _process_count(jobs: int, archives: int) -> int:
     count = min(jobs, usable_cpus(), archives // MIN_ARCHIVES_PER_PROCESS)
     if count <= 1 or not hasattr(os, "fork"):
         return 1
-    import threading
-
     return count if threading.active_count() == 1 else 1
 
 

@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import inf
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -66,13 +67,10 @@ def _per_shape(
 ) -> Iterator[tuple[ScriptSource, T]]:
     """(script, derive(shape)) for every script, in dataset order, with
     derive called once per distinct script shape."""
-    known: dict[Shape, T] = {}
+    derive = cache(derive)
     for project in _summaries(projects):
         for script, shape in project.scripts:
-            value = known.get(shape)
-            if value is None:
-                value = known[shape] = derive(shape)
-            yield script, value
+            yield script, derive(shape)
 
 
 def extract_models(projects: Iterable[Project]) -> list[ScriptModel]:
@@ -256,28 +254,16 @@ def _config_document(config: MiningConfig) -> dict:
     }
 
 
-class _PropertyDocuments(dict):
-    """The documents of one report's properties, each built on first use."""
-
-    def __missing__(self, prop: TemporalProperty) -> dict:
-        document = self[prop] = property_to_document(prop)
-        return document
-
-    def listed(self, properties: Iterable[TemporalProperty]) -> list[dict]:
-        """In property order; every occurrence gets its own copy."""
-        return [self[p].copy() for p in sorted_properties(properties)]
-
-
-def _pattern_document(pattern: Pattern, documents: _PropertyDocuments) -> dict:
+def _pattern_document(pattern: Pattern, listed: Callable[..., list[dict]]) -> dict:
     return {
         "support": pattern.support,
         "size": pattern.size,
         "supporter_count": len(pattern.supporters),
-        "properties": documents.listed(pattern.properties),
+        "properties": listed(pattern.properties),
     }
 
 
-def _anomaly_document(anomaly: Anomaly, documents: _PropertyDocuments) -> dict:
+def _anomaly_document(anomaly: Anomaly, listed: Callable[..., list[dict]]) -> dict:
     return {
         "rank": anomaly.rank,
         "confidence": format_confidence(anomaly.confidence),
@@ -285,8 +271,8 @@ def _anomaly_document(anomaly: Anomaly, documents: _PropertyDocuments) -> dict:
         "same_deviation_count": anomaly.same_deviation_count,
         "script": _script_document(anomaly.script),
         "pattern": {"support": anomaly.pattern.support, "size": anomaly.pattern.size},
-        "deviation": documents.listed(anomaly.deviation),
-        "satisfied": documents.listed(anomaly.violation.satisfied),
+        "deviation": listed(anomaly.deviation),
+        "satisfied": listed(anomaly.violation.satisfied),
     }
 
 
@@ -306,7 +292,12 @@ def _report_sections(report: AnomalyReport, top: int | None) -> dict[str, object
     anomalies = report.result.anomalies
     if top is not None:
         anomalies = anomalies[: max(top, 0)]
-    documents = _PropertyDocuments()
+    # Built once per report; every occurrence gets its own copy.
+    document = cache(property_to_document)
+
+    def listed(properties: Iterable[TemporalProperty]) -> list[dict]:
+        return [document(p).copy() for p in sorted_properties(properties)]
+
     return {
         "schema_version": 1,
         "kind": "anomaly-report",
@@ -318,8 +309,8 @@ def _report_sections(report: AnomalyReport, top: int | None) -> dict[str, object
         "dataset": report.dataset,
         "config": _config_document(report.config),
         "stats": stats_to_document(report.result.stats),
-        "patterns": (_pattern_document(p, documents) for p in report.result.patterns),
-        "anomalies": (_anomaly_document(a, documents) for a in anomalies),
+        "patterns": (_pattern_document(p, listed) for p in report.result.patterns),
+        "anomalies": (_anomaly_document(a, listed) for a in anomalies),
     }
 
 

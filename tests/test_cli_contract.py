@@ -165,3 +165,16 @@ def test_gen_corpus_exits_0_1_or_2(inputs, spec, variables, out, unknown_flag, c
         assert code == 1, argv
     else:
         assert code == 0, argv
+
+
+def test_gen_corpus_under_a_regular_file_is_one_line_and_exit_1(inputs, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    out = blocker / "x"
+    with redirect_stdout(io.StringIO()) as stdout, redirect_stderr(io.StringIO()) as err:
+        code = main(["gen-corpus", str(inputs["spec-good"]), f"--out={out}"])
+    assert code == 1
+    assert err.getvalue().startswith(f"blockmine: cannot write output: {out}: ")
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    assert stdout.getvalue() == ""
+    assert list(tmp_path.iterdir()) == [blocker]

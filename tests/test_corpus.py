@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import tempfile
 import zipfile
 from dataclasses import replace
@@ -120,6 +121,19 @@ def test_a_project_over_the_load_limit_is_not_written(tmp_path, monkeypatch):
     with pytest.raises(OutputUnwritable, match="correct_000.sb3"):
         generate_corpus(_fig_project(), 2, [], tmp_path / "corpus")
     assert generate_corpus(_fig_project(), 0, [], tmp_path / "empty") == []
+
+
+def test_a_path_under_a_regular_file_is_unwritable(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")
+    for path in (blocker / "student.sb3", blocker / "student.json"):
+        with pytest.raises(OutputUnwritable, match=re.escape(f"{path}: ")):
+            write_project_archive(_fig_project(), path)
+    for out_dir in (blocker, blocker / "corpus"):
+        with pytest.raises(OutputUnwritable, match=re.escape(f"{out_dir}: ")):
+            generate_corpus(_fig_project(), 2, [], out_dir)
+    assert list(tmp_path.iterdir()) == [blocker]
+    assert blocker.read_bytes() == b""
 
 
 def test_json_suffix_writes_bare_payload(tmp_path):

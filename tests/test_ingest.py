@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+import math
 import random
 import signal
 import struct
@@ -16,7 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockmine import (
@@ -445,6 +446,45 @@ def test_a_coordinate_too_large_for_a_float_reads_as_zero(tmp_path):
     assert [w for w in huge.warnings if "coordinate" in w] == [
         f"Cat: block {top_id!r} x coordinate {10**400!r} is not a number, read as 0"
     ]
+
+
+_BEYOND_FLOATS = st.integers(2**1024, 2**1100)
+_COORDINATES = st.one_of(
+    st.integers(),
+    st.integers(2**53 - 4, 2**53 + 4) | st.integers(-(2**53) - 4, -(2**53) + 4),
+    _BEYOND_FLOATS | _BEYOND_FLOATS.map(lambda n: -n),
+    st.floats(),
+    st.booleans(),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_COORDINATES)
+@example(2**53 + 1)
+@example(10**400)
+@example(math.nan)
+@example(-math.inf)
+@example(-0.0)
+@example(True)
+@example("1e400")
+@example("12.5")
+@example("left")
+def test_a_coordinate_is_its_float_when_finite_and_else_zero(value):
+    notes: list[str] = []
+    coordinate = ingest._coordinate(value, "y", "Cat", "b1", notes)
+    try:
+        expected = float(value)
+    except (ValueError, OverflowError):
+        expected = math.nan
+    if math.isfinite(expected):
+        assert (type(coordinate), repr(coordinate), notes) == (float, repr(expected), [])
+    else:
+        assert (coordinate, notes) == (
+            0.0, [f"Cat: block 'b1' y coordinate {value!r} is not a number, read as 0"]
+        )
 
 
 def _assert_only_skipped(tmp_path, capsys, name, data):
