@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cmp_to_key
+from functools import cache, cmp_to_key, lru_cache
 from itertools import accumulate, pairwise
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
@@ -92,9 +92,9 @@ class _LazySequence(Sequence):
     """
 
     def __init__(self, sizes: Iterable[int], build: Callable[[int, int], list]) -> None:
-        self._starts = list(accumulate(sizes, initial=0))
+        self._starts = starts = list(accumulate(sizes, initial=0))
         self._build = build
-        self._cached: tuple[int, list] = (-1, [])
+        self._block = lru_cache(maxsize=1)(lambda block: build(block, starts[block]))
 
     def __len__(self) -> int:
         return self._starts[-1]
@@ -104,9 +104,7 @@ class _LazySequence(Sequence):
             return [self[i] for i in range(len(self))[index]]
         position = range(len(self))[index]  # IndexError when out of range
         block = bisect_right(self._starts, position) - 1
-        if self._cached[0] != block:
-            self._cached = (block, self._build(block, self._starts[block]))
-        return self._cached[1][position - self._starts[block]]
+        return self._block(block)[position - self._starts[block]]
 
     def __iter__(self) -> Iterator:
         for block, start in enumerate(self._starts[:-1]):

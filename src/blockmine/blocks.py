@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum, unique
-from functools import lru_cache
+from functools import cache
 from importlib import resources
 from typing import NamedTuple
 
@@ -36,7 +36,7 @@ class BlockKind(Enum):
 PROCEDURE_OPCODES = frozenset({"procedures_call", "procedures_definition"})
 
 
-@lru_cache(maxsize=1)
+@cache
 def _load_table() -> dict:
     data = resources.files("blockmine.data").joinpath("opcodes.json").read_text("utf-8")
     table = json.loads(data)
@@ -48,7 +48,7 @@ def table_version() -> int:
     return int(_load_table()["version"])
 
 
-@lru_cache(maxsize=None)
+@cache
 def classify_opcode(opcode: str) -> BlockKind:
     """Classify an opcode string; opcodes outside the table are UNKNOWN.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Set as AbstractSet
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .errors import InvalidConfig
@@ -88,33 +88,26 @@ class Supporters(AbstractSet):
         self._vocab = vocab
         self._tidmask = tidmask
         self._weight = weight
-        self._members: frozenset[ScriptSource] | None = None
-        self._hash: int | None = None
 
+    @cached_property
     def members(self) -> frozenset[ScriptSource]:
-        if self._members is None:
-            scripts, groups = self._vocab.scripts, self._vocab.groups
-            self._members = frozenset(
-                scripts[position] for t in bits(self._tidmask) for position in groups[t]
-            )
-        return self._members
+        scripts, groups = self._vocab.scripts, self._vocab.groups
+        return frozenset(scripts[position] for t in bits(self._tidmask) for position in groups[t])
 
     def __len__(self) -> int:
         return self._weight
 
     def __iter__(self) -> Iterator[ScriptSource]:
-        return iter(self.members())
+        return iter(self.members)
 
     def __contains__(self, script: object) -> bool:
-        return script in self.members()
+        return script in self.members
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = AbstractSet._hash(self)  # frozenset's algorithm
-        return self._hash
+        return hash(self.members)  # a frozenset keeps its hash
 
     def __repr__(self) -> str:
-        return f"Supporters({set(self.members())!r})"
+        return f"Supporters({set(self.members)!r})"
 
 
 @dataclass(frozen=True)

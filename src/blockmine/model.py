@@ -23,16 +23,10 @@ from .ingest import RawProject, ScriptSource, Shape, ShapeBlock
 Transition = tuple[int, BlockLabel | None, int]
 
 
-def _label_order(label: BlockLabel | None) -> tuple:
-    # Epsilon sorts first so deterministic walks see it before real labels.
-    if label is None:
-        return (0, "", "")
-    return (1, label.opcode, label.detail)
-
-
 def transition_order(t: Transition) -> tuple:
+    # Epsilon sorts first so deterministic walks see it before real labels.
     src, label, dst = t
-    return (src, _label_order(label), dst)
+    return (src, label is not None, label or (), dst)
 
 
 @dataclass(frozen=True)
@@ -166,17 +160,17 @@ def _canonical(
     transitions: Iterable[Transition],
     source: ScriptSource | None,
 ) -> ScriptModel:
-    """Renumber locations 0..n-1 in deterministic breadth-first order; every
-    location must be reachable from `entry`."""
-    transitions = tuple(transitions)
-    adjacency: dict[int, list[tuple[tuple, int]]] = {}
-    for src, label, dst in transitions:
-        adjacency.setdefault(src, []).append(((_label_order(label), dst), dst))
+    """Renumber locations 0..n-1 breadth-first, each location's successors
+    in transition order; every location must be reachable from `entry`."""
+    transitions = sorted(transitions, key=transition_order)
+    successors: dict[int, list[int]] = {}
+    for src, _, dst in transitions:
+        successors.setdefault(src, []).append(dst)
 
     order: dict[int, int] = {entry: 0}
     queue = [entry]
     for node in queue:  # queue grows as locations are numbered
-        for _, dst in sorted(adjacency.get(node, [])):
+        for dst in successors.get(node, ()):
             if dst not in order:
                 order[dst] = len(order)
                 queue.append(dst)

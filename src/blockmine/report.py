@@ -212,10 +212,6 @@ def format_confidence(value: Fraction) -> str:
     )
 
 
-def _round2(value: float) -> float:
-    return round(value, 2)
-
-
 def stats_to_document(stats: DatasetStats) -> dict:
     return {
         "schema_version": 1,
@@ -225,9 +221,9 @@ def stats_to_document(stats: DatasetStats) -> dict:
         "patterns": stats.patterns,
         "violations": stats.violations,
         "anomalies": stats.anomalies,
-        "mean_blocks": _round2(stats.mean_blocks),
-        "mean_scripts": _round2(stats.mean_scripts),
-        "mean_sprites": _round2(stats.mean_sprites),
+        "mean_blocks": round(stats.mean_blocks, 2),
+        "mean_scripts": round(stats.mean_scripts, 2),
+        "mean_sprites": round(stats.mean_sprites, 2),
     }
 
 
@@ -238,9 +234,9 @@ def stats_to_text(stats: DatasetStats) -> str:
         f"patterns:       {stats.patterns}",
         f"violations:     {stats.violations}",
         f"anomalies:      {stats.anomalies}",
-        f"mean blocks:    {_round2(stats.mean_blocks):.2f}",
-        f"mean scripts:   {_round2(stats.mean_scripts):.2f}",
-        f"mean sprites:   {_round2(stats.mean_sprites):.2f}",
+        f"mean blocks:    {round(stats.mean_blocks, 2):.2f}",
+        f"mean scripts:   {round(stats.mean_scripts, 2):.2f}",
+        f"mean sprites:   {round(stats.mean_sprites, 2):.2f}",
     ]
     return "\n".join(lines) + "\n"
 

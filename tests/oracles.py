@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations, islice
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from blockmine import (
     Actor,
@@ -640,6 +640,40 @@ def random_epsilon_model(rng: random.Random, max_locations: int = 12) -> ScriptM
     exits = frozenset(rng.sample(range(n), n_exits))
     return ScriptModel(
         entry=0, exits=exits, transitions=frozenset(transitions), source=None
+    )
+
+
+def _label_order(label: BlockLabel | None) -> tuple:
+    # Epsilon first, then labels by (opcode, detail).
+    if label is None:
+        return (0, "", "")
+    return (1, label.opcode, label.detail)
+
+
+def naive_canonical(
+    entry: int,
+    exits: Iterable[int],
+    transitions: Iterable[tuple[int, BlockLabel | None, int]],
+    source: ScriptSource | None,
+) -> ScriptModel:
+    """The model renumbered 0..n-1 breadth-first from `entry`, each
+    location's successors sorted on their own by (label, target)."""
+    transitions = tuple(transitions)
+    adjacency: dict[int, list[tuple[tuple, int]]] = {}
+    for src, label, dst in transitions:
+        adjacency.setdefault(src, []).append(((_label_order(label), dst), dst))
+    order: dict[int, int] = {entry: 0}
+    queue = [entry]
+    for node in queue:
+        for _, dst in sorted(adjacency.get(node, [])):
+            if dst not in order:
+                order[dst] = len(order)
+                queue.append(dst)
+    return ScriptModel(
+        entry=order[entry],
+        exits=frozenset(order[x] for x in exits),
+        transitions=frozenset((order[s], label, order[d]) for s, label, d in transitions),
+        source=source,
     )
 
 

@@ -359,7 +359,7 @@ def test_supporter_count_is_taken_without_listing_the_supporters(monkeypatch):
     def members(self):
         raise AssertionError("the supporters were listed")
 
-    monkeypatch.setattr(mining.Supporters, "members", members)
+    monkeypatch.setattr(mining.Supporters, "members", property(members))
     assert [len(p.supporters) for p in patterns] == [p.support for p in patterns] == [8, 5, 3]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,10 @@ from blockmine import (
     model_to_dot,
     props,
 )
-from blockmine.model import model_to_document
-from conftest import FIG_BUGGY_SCRIPT, FIG_SCRIPT, GOTO, hand_built_fig_model
-from oracles import label_path_language, random_epsilon_model
+from blockmine.ingest import script_shapes
+from blockmine.model import _canonical, build_shape_model, model_to_document
+from conftest import FIG_BUGGY_SCRIPT, FIG_SCRIPT, GOTO, hand_built_fig_model, open_ended_projects
+from oracles import label_path_language, naive_canonical, random_epsilon_model
 
 WGF = BlockLabel("event_whenflagclicked")
 MOVE = BlockLabel("motion_movesteps")
@@ -282,6 +284,31 @@ def test_elimination_is_idempotent_on_random_models():
         once = eliminate_epsilon(model)
         assert eliminate_epsilon(once) == once
         assert once.is_epsilon_free
+
+
+@cache
+def _open_ended_models() -> list[ScriptModel]:
+    shapes = dict.fromkeys(
+        shape for project in open_ended_projects(40, 5) for _, shape in script_shapes(project)
+    )
+    return [build_shape_model(shape) for shape in shapes]
+
+
+# Only the fig model pins the numbering by hand; any consistent renumbering
+# would pass the identity tests above.
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_canonical_numbering_matches_the_per_location_sort(rng, built):
+    if built:
+        model = rng.choice(_open_ended_models())
+    else:
+        model = eliminate_epsilon(random_epsilon_model(rng))
+    locations = sorted(model.locations)
+    name = dict(zip(locations, rng.sample(locations, len(locations))))
+    transitions = [(name[s], label, name[d]) for s, label, d in model.transitions]
+    rng.shuffle(transitions)
+    parts = (name[model.entry], [name[x] for x in model.exits], transitions, model.source)
+    assert _canonical(*parts) == naive_canonical(*parts)
 
 
 def test_epsilon_exit_slide():

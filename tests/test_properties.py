@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations
 
@@ -37,7 +38,7 @@ from blockmine import report
 from blockmine.anomalies import DeviationClasses
 from blockmine.ingest import stack_shape
 from blockmine.mining import mine_vocabulary
-from blockmine.properties import Vocabulary
+from blockmine.properties import Vocabulary, bits
 from conftest import (
     FIG_BUGGY_PROPS,
     FIG_DEVIATION,
@@ -502,3 +503,18 @@ def test_mining_and_checking_add_no_field_to_the_vocabulary():
     assert set(vars(vocab)) == fields
     hash(vocab)  # the index, a dict, takes no part in hashing or showing
     assert ", index=" not in repr(vocab) and "item_tids" not in repr(vocab)
+
+
+# The miner's closure and weights and the class core's member lists all
+# walk wide tid masks with bits.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 20_000),
+    st.sampled_from([0.0, 0.001, 0.05, 0.5, 0.95, 1.0]),
+    st.randoms(use_true_random=False),
+)
+def test_bits_lists_the_set_bits_of_a_wide_mask_in_ascending_order(width, density, rng):
+    mask = int("0" + "".join("1" if rng.random() < density else "0" for _ in range(width)), 2)
+    walk = bits(mask)
+    assert isinstance(walk, Iterator) and iter(walk) is walk
+    assert list(walk) == [i for i in range(mask.bit_length()) if mask >> i & 1]
